@@ -86,29 +86,12 @@ double time_best_ms(int repeat, Fn&& fn) {
   return best;
 }
 
-/// Bridging list capped the same way the Table 6 harness caps it:
-/// deterministic stride over AND/OR pairs, both polarities kept.
-std::vector<FaultSpec> sampled_bridging(const Netlist& nl, std::size_t cap) {
-  std::vector<FaultSpec> bridges = enumerate_bridging(nl);
-  if (cap == 0 || bridges.size() <= cap) return bridges;
-  const std::size_t pairs = bridges.size() / 2;
-  const std::size_t want_pairs = cap / 2;
-  const std::size_t stride = (pairs + want_pairs - 1) / want_pairs;
-  std::vector<FaultSpec> sampled;
-  sampled.reserve(2 * (pairs / stride + 1));
-  for (std::size_t p = 0; p < pairs; p += stride) {
-    sampled.push_back(bridges[2 * p]);
-    sampled.push_back(bridges[2 * p + 1]);
-  }
-  return sampled;
-}
-
 BenchRecord bench_circuit(const std::string& name, int threads, int repeat) {
   const CircuitExperiment exp = run_circuit(name);
   const ScanCircuit& circuit = exp.synth.circuit;
   std::vector<FaultSpec> faults = enumerate_stuck_at(circuit.comb);
   const std::vector<FaultSpec> bridges =
-      sampled_bridging(circuit.comb, /*cap=*/4096);
+      sample_bridging(enumerate_bridging(circuit.comb), /*cap=*/4096);
   faults.insert(faults.end(), bridges.begin(), bridges.end());
 
   BenchRecord rec;
@@ -268,7 +251,7 @@ int check_overhead(int repeat) {
   const ScanCircuit& circuit = exp.synth.circuit;
   std::vector<FaultSpec> faults = enumerate_stuck_at(circuit.comb);
   const std::vector<FaultSpec> bridges =
-      sampled_bridging(circuit.comb, /*cap=*/4096);
+      sample_bridging(enumerate_bridging(circuit.comb), /*cap=*/4096);
   faults.insert(faults.end(), bridges.begin(), bridges.end());
 
   FaultSimOptions serial_event;

@@ -190,22 +190,4 @@ GeneratorResult generate_functional_tests(const StateTable& table,
   return result;
 }
 
-robust::Result<GeneratorResult> try_generate_functional_tests(
-    const StateTable& table, const GeneratorOptions& options) {
-  using robust::Code;
-  using robust::Status;
-  try {
-    return generate_functional_tests(table, options);
-  } catch (const BudgetError& e) {
-    return Status::error(Code::kBudgetExhausted, e.what())
-        .with_context("generating functional tests");
-  } catch (const ParseError& e) {
-    return Status::error(Code::kParseError, e.what())
-        .with_context("generating functional tests");
-  } catch (const std::exception& e) {
-    return Status::error(Code::kInternal, e.what())
-        .with_context("generating functional tests");
-  }
-}
-
 }  // namespace fstg

@@ -1,7 +1,7 @@
 #pragma once
 
 #include "atpg/test.h"
-#include "base/robust/status.h"
+#include "base/robust/budget.h"
 #include "seq/uio.h"
 
 namespace fstg {
@@ -61,14 +61,5 @@ GeneratorResult generate_functional_tests(const StateTable& table,
 GeneratorResult generate_functional_tests(const StateTable& table,
                                           const GeneratorOptions& options,
                                           UioSet uios);
-
-/// Structured-error boundary: same procedure, but failures surface as a
-/// typed Status (budget exhaustion in a context with no sound fallback =>
-/// kBudgetExhausted, violated invariants => kInternal) instead of an
-/// exception. Budget-exhausted UIO search is NOT a failure here — the
-/// scan-out fallback keeps the result valid; the returned result's
-/// `degraded` flag records it.
-robust::Result<GeneratorResult> try_generate_functional_tests(
-    const StateTable& table, const GeneratorOptions& options = {});
 
 }  // namespace fstg

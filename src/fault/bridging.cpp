@@ -81,4 +81,19 @@ BridgingEnumeration enumerate_bridging_guarded(const Netlist& nl,
   return result;
 }
 
+std::vector<FaultSpec> sample_bridging(std::vector<FaultSpec> faults,
+                                       std::size_t cap) {
+  if (cap == 0 || faults.size() <= cap) return faults;
+  const std::size_t pairs = faults.size() / 2;
+  const std::size_t want_pairs = cap / 2;
+  const std::size_t stride = (pairs + want_pairs - 1) / want_pairs;
+  std::vector<FaultSpec> sampled;
+  sampled.reserve(2 * (pairs / stride + 1));
+  for (std::size_t p = 0; p < pairs; p += stride) {
+    sampled.push_back(faults[2 * p]);
+    sampled.push_back(faults[2 * p + 1]);
+  }
+  return sampled;
+}
+
 }  // namespace fstg

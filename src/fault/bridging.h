@@ -30,4 +30,11 @@ struct BridgingEnumeration {
 BridgingEnumeration enumerate_bridging_guarded(const Netlist& nl,
                                                robust::RunGuard& guard);
 
+/// Cap an enumerated list at about `cap` faults by a deterministic stride
+/// over its AND/OR pairs (adjacent in enumeration order), so both
+/// polarities of a kept bridge survive. `cap == 0` or a list already
+/// within the cap comes back unchanged.
+std::vector<FaultSpec> sample_bridging(std::vector<FaultSpec> faults,
+                                       std::size_t cap);
+
 }  // namespace fstg

@@ -30,4 +30,12 @@ CompactionResult select_effective_tests(const ScanCircuit& circuit,
                                         const std::vector<FaultSpec>& faults,
                                         const FaultSimOptions& sim_options = {});
 
+/// Budgeted variant: the guard bounds the fault simulation
+/// (simulate_faults_guarded semantics). On exhaustion `sim.complete` is
+/// false and the effective marks are those of the partial run.
+CompactionResult select_effective_tests(
+    const ScanCircuit& circuit, const TestSet& tests,
+    const std::vector<FaultSpec>& faults, robust::RunGuard& guard,
+    const FaultSimOptions& sim_options = {});
+
 }  // namespace fstg

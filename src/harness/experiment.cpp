@@ -44,73 +44,6 @@ void lint_preflight(const Kiss2Fsm& fsm, const LintPreflightOptions& options) {
   }
 }
 
-}  // namespace
-
-CircuitExperiment run_circuit(const std::string& name,
-                              const ExperimentOptions& options) {
-  CircuitExperiment exp = run_fsm(load_benchmark(name), options);
-  exp.spec = benchmark_spec(name);
-  require(exp.synth.circuit.num_sv == exp.spec.sv,
-          "circuit " + name + ": synthesized sv disagrees with Table 4");
-  return exp;
-}
-
-CircuitExperiment run_fsm(const Kiss2Fsm& fsm,
-                          const ExperimentOptions& options) {
-  CircuitExperiment exp;
-  exp.fsm = fsm;
-
-  lint_preflight(fsm, options.lint);
-
-  store::Store* cache = store::resolve(options.cache);
-  const std::uint64_t skey =
-      cache ? harness::synth_key(fsm, options.synth) : 0;
-  if (!harness::load_synth(cache, skey, &exp.synth, &exp.table,
-                           &exp.synth_seconds)) {
-    {
-      obs::StageScope scope("synth", fsm.name);
-      Timer timer;
-      exp.synth = synthesize_scan_circuit(exp.fsm, options.synth);
-      exp.synth_seconds = timer.seconds();
-    }
-
-    {
-      obs::StageScope scope("verify.readback", fsm.name);
-      std::string message;
-      const bool matches =
-          circuit_matches_fsm(exp.synth.circuit, exp.fsm, exp.synth.encoding,
-                              &message);
-      require(matches,
-              "synthesis self-check failed for " + fsm.name + ": " + message);
-      exp.table =
-          read_back_table(exp.synth.circuit, &exp.fsm, &exp.synth.encoding);
-    }
-    harness::save_synth(cache, skey, exp.synth, exp.table, exp.synth_seconds);
-  }
-
-  log_info("circuit " + fsm.name + ": " +
-           std::to_string(exp.synth.circuit.comb.num_gates()) + " gates, " +
-           std::to_string(exp.table.num_states()) + " states");
-
-  const std::uint64_t gkey =
-      cache ? harness::gen_key(exp.table, options.gen) : 0;
-  if (!harness::load_gen(cache, gkey, &exp.gen)) {
-    obs::StageScope scope("generate", fsm.name);
-    exp.gen = generate_functional_tests(exp.table, options.gen);
-    harness::save_gen(cache, gkey, exp.gen);
-  }
-  return exp;
-}
-
-GateLevelResult run_gate_level(const CircuitExperiment& exp,
-                               bool classify_redundancy) {
-  GateLevelOptions options;
-  options.classify_redundancy = classify_redundancy;
-  return run_gate_level(exp, options);
-}
-
-namespace {
-
 /// Convert an exception escaping one pipeline stage into a typed Status
 /// whose context chain names the stage. ParseError keeps its category,
 /// BudgetError maps to kBudgetExhausted, everything else is an internal
@@ -136,11 +69,82 @@ robust::Status stage_status(const char* stage, const std::string& circuit) {
   }
 }
 
-}  // namespace
+/// The functional pipeline behind run_fsm and try_run_fsm. `stage` names
+/// the stage in flight, so the try_ form can say where a failure escaped.
+CircuitExperiment run_fsm_staged(const Kiss2Fsm& fsm,
+                                 const ExperimentOptions& options,
+                                 const char*& stage) {
+  CircuitExperiment exp;
+  exp.fsm = fsm;
 
-GateLevelResult run_gate_level(const CircuitExperiment& exp,
-                               const GateLevelOptions& options) {
-  const bool classify_redundancy = options.classify_redundancy;
+  stage = "lint";
+  lint_preflight(fsm, options.lint);
+
+  stage = "synth";
+  store::Store* cache = store::resolve(options.cache);
+  const std::uint64_t skey =
+      cache ? harness::synth_key(fsm, options.synth) : 0;
+  if (!harness::load_synth(cache, skey, &exp.synth, &exp.table,
+                           &exp.synth_seconds)) {
+    {
+      obs::StageScope scope("synth", fsm.name);
+      Timer timer;
+      exp.synth = synthesize_scan_circuit(exp.fsm, options.synth);
+      exp.synth_seconds = timer.seconds();
+    }
+
+    stage = "verify";
+    {
+      obs::StageScope scope("verify.readback", fsm.name);
+      std::string message;
+      const bool matches =
+          circuit_matches_fsm(exp.synth.circuit, exp.fsm, exp.synth.encoding,
+                              &message);
+      require(matches,
+              "synthesis self-check failed for " + fsm.name + ": " + message);
+      exp.table =
+          read_back_table(exp.synth.circuit, &exp.fsm, &exp.synth.encoding);
+    }
+    harness::save_synth(cache, skey, exp.synth, exp.table, exp.synth_seconds);
+  }
+
+  log_info("circuit " + fsm.name + ": " +
+           std::to_string(exp.synth.circuit.comb.num_gates()) + " gates, " +
+           std::to_string(exp.table.num_states()) + " states");
+
+  stage = "generate";
+  const std::uint64_t gkey =
+      cache ? harness::gen_key(exp.table, options.gen) : 0;
+  if (!harness::load_gen(cache, gkey, &exp.gen)) {
+    obs::StageScope scope("generate", fsm.name);
+    exp.gen = generate_functional_tests(exp.table, options.gen);
+    harness::save_gen(cache, gkey, exp.gen);
+  }
+  if (exp.gen.degraded)
+    log_warn("circuit " + fsm.name +
+             ": budget exhausted during UIO search (" +
+             std::to_string(exp.gen.uio_aborted_states()) +
+             " states aborted); falling back to scan-out, coverage is "
+             "preserved, cycle count may rise");
+  return exp;
+}
+
+/// run_fsm_staged on a named benchmark, checked against its Table 4 entry.
+CircuitExperiment run_circuit_staged(const std::string& name,
+                                     const ExperimentOptions& options,
+                                     const char*& stage) {
+  stage = "load";
+  CircuitExperiment exp = run_fsm_staged(load_benchmark(name), options, stage);
+  stage = "verify";
+  exp.spec = benchmark_spec(name);
+  require(exp.synth.circuit.num_sv == exp.spec.sv,
+          "circuit " + name + ": synthesized sv disagrees with Table 4");
+  return exp;
+}
+
+/// run_gate_level over `tests` in place of the generated ones.
+GateLevelResult gate_level(const CircuitExperiment& exp, const TestSet& tests,
+                           const GateLevelOptions& options) {
   GateLevelResult result;
   const ScanCircuit& circuit = exp.synth.circuit;
   store::Store* cache = store::resolve(options.cache);
@@ -153,24 +157,12 @@ GateLevelResult run_gate_level(const CircuitExperiment& exp,
     result.sa_faults = enumerate_stuck_at(circuit.comb);
     result.br_faults = enumerate_bridging(circuit.comb);
     result.br_enumerated = result.br_faults.size();
-    if (options.max_bridging_faults > 0 &&
-        result.br_faults.size() > options.max_bridging_faults) {
-      // Deterministic stride sampling over AND/OR *pairs* (adjacent in the
-      // enumeration) so both polarities of a kept bridge survive.
-      const std::size_t pairs = result.br_faults.size() / 2;
-      const std::size_t want_pairs = options.max_bridging_faults / 2;
-      const std::size_t stride = (pairs + want_pairs - 1) / want_pairs;
-      std::vector<FaultSpec> sampled;
-      sampled.reserve(2 * (pairs / stride + 1));
-      for (std::size_t p = 0; p < pairs; p += stride) {
-        sampled.push_back(result.br_faults[2 * p]);
-        sampled.push_back(result.br_faults[2 * p + 1]);
-      }
+    result.br_faults = sample_bridging(std::move(result.br_faults),
+                                       options.max_bridging_faults);
+    if (result.br_faults.size() < result.br_enumerated)
       log_info("circuit " + exp.fsm.name + ": sampled " +
-               std::to_string(sampled.size()) + " of " +
-               std::to_string(result.br_faults.size()) + " bridging faults");
-      result.br_faults = std::move(sampled);
-    }
+               std::to_string(result.br_faults.size()) + " of " +
+               std::to_string(result.br_enumerated) + " bridging faults");
     harness::save_faults(cache, fkey, result.sa_faults, result.br_faults,
                          result.br_enumerated);
   }
@@ -186,38 +178,25 @@ GateLevelResult run_gate_level(const CircuitExperiment& exp,
     harness::save_reach(cache, rkey, reach);
   }
   // Optional static pre-flight: prove faults untestable without a single
-  // simulated pattern and drop them from the simulated universe. The
-  // analyzer is kept alive so the redundancy classifier below can consult
-  // the same verdicts for the remaining misses.
+  // simulated pattern. The analyzer is kept alive so the redundancy
+  // classifier below can consult the same verdicts for the misses.
   std::unique_ptr<analysis::StaticAnalyzer> statics;
+  analysis::FaultAnalysis sa_static, br_static;
   if (options.static_prune) {
     obs::StageScope scope("analysis.static_prune", exp.fsm.name);
     static const obs::Counter c_pruned = obs::counter("analysis.pruned");
     statics = std::make_unique<analysis::StaticAnalyzer>(
         circuit.comb, analysis::AnalyzerOptions{}, &reach);
-    const analysis::FaultAnalysis sa_static =
-        statics->analyze(result.sa_faults);
-    const analysis::FaultAnalysis br_static =
-        statics->analyze(result.br_faults);
+    sa_static = statics->analyze(result.sa_faults);
+    br_static = statics->analyze(result.br_faults);
     result.static_pruned = true;
-    result.static_unexcitable =
-        sa_static.unexcitable + br_static.unexcitable;
+    result.sa_pruned = sa_static.untestable();
+    result.br_pruned = br_static.untestable();
+    result.static_unexcitable = sa_static.unexcitable + br_static.unexcitable;
     result.static_unpropagatable =
         sa_static.unpropagatable + br_static.unpropagatable;
     result.static_equiv_classes = sa_static.equiv_classes;
     result.static_equiv_merged = sa_static.equiv_merged;
-    const auto prune = [](std::vector<FaultSpec>& faults,
-                          const analysis::FaultAnalysis& a) {
-      std::size_t kept = 0;
-      for (std::size_t f = 0; f < faults.size(); ++f)
-        if (a.verdict[f] == analysis::FaultVerdict::kUnknown)
-          faults[kept++] = faults[f];
-      const std::size_t pruned = faults.size() - kept;
-      faults.resize(kept);
-      return pruned;
-    };
-    result.sa_pruned = prune(result.sa_faults, sa_static);
-    result.br_pruned = prune(result.br_faults, br_static);
     c_pruned.add(result.sa_pruned + result.br_pruned);
     if (result.sa_pruned + result.br_pruned > 0)
       log_info("circuit " + exp.fsm.name + ": static analysis pruned " +
@@ -228,23 +207,42 @@ GateLevelResult run_gate_level(const CircuitExperiment& exp,
   FaultSimOptions sim_options;
   sim_options.threads = options.threads;
   sim_options.reachability = &reach;
+  robust::RunGuard guard(options.budget, "fault_sim.batch");
+  // Simulates the faults the static verdicts leave unproven (all of them
+  // without a pre-flight) and maps the result back onto the whole list, so
+  // a pruned fault reads as undetected.
+  const auto simulate = [&](const char* stage,
+                            const std::vector<FaultSpec>& faults,
+                            const analysis::FaultAnalysis& statics_result) {
+    std::vector<FaultSpec> unproven;
+    std::vector<std::size_t> index;
+    for (std::size_t f = 0; f < statics_result.verdict.size(); ++f) {
+      if (statics_result.verdict[f] == analysis::FaultVerdict::kUnknown) {
+        unproven.push_back(faults[f]);
+        index.push_back(f);
+      }
+    }
+    const std::vector<FaultSpec>& simulated =
+        statics_result.verdict.empty() ? faults : unproven;
+    obs::StageScope scope(stage, std::to_string(simulated.size()) + " faults");
+    CompactionResult r =
+        select_effective_tests(circuit, tests, simulated, guard, sim_options);
+    if (!r.sim.complete) throw BudgetError(guard.status().message());
+    if (!statics_result.verdict.empty()) {
+      std::vector<int> detected_by(faults.size(), -1);
+      for (std::size_t k = 0; k < index.size(); ++k)
+        detected_by[index[k]] = r.sim.detected_by[k];
+      r.sim.detected_by = std::move(detected_by);
+      r.sim.total_faults = faults.size();
+    }
+    return r;
+  };
+  result.sa = simulate("gate_level.stuck_at", result.sa_faults, sa_static);
+  result.br = simulate("gate_level.bridging", result.br_faults, br_static);
 
-  {
-    obs::StageScope scope("gate_level.stuck_at",
-                   std::to_string(result.sa_faults.size()) + " faults");
-    result.sa = select_effective_tests(circuit, exp.gen.tests,
-                                       result.sa_faults, sim_options);
-  }
-  {
-    obs::StageScope scope("gate_level.bridging",
-                   std::to_string(result.br_faults.size()) + " faults");
-    result.br = select_effective_tests(circuit, exp.gen.tests,
-                                       result.br_faults, sim_options);
-  }
-
-  if (classify_redundancy) {
+  if (options.classify_redundancy) {
     // Reuse the compaction pass's simulation: only the misses get the
-    // exhaustive re-check.
+    // exhaustive re-check, and the static verdicts settle pruned faults.
     obs::StageScope scope("redundancy.classify", exp.fsm.name);
     result.sa_redundancy =
         classify_faults_from(circuit, result.sa_faults,
@@ -252,98 +250,55 @@ GateLevelResult run_gate_level(const CircuitExperiment& exp,
     result.br_redundancy =
         classify_faults_from(circuit, result.br_faults,
                              result.br.sim.detected_by, &reach, statics.get());
-    // Statically pruned faults are proven-undetectable: fold them back into
-    // the totals so headline counts match an unpruned run.
-    result.sa_redundancy.undetectable += result.sa_pruned;
-    result.br_redundancy.undetectable += result.br_pruned;
     result.redundancy_classified = true;
   }
   return result;
 }
 
+}  // namespace
+
+CircuitExperiment run_circuit(const std::string& name,
+                              const ExperimentOptions& options) {
+  const char* stage = nullptr;
+  return run_circuit_staged(name, options, stage);
+}
+
+CircuitExperiment run_fsm(const Kiss2Fsm& fsm,
+                          const ExperimentOptions& options) {
+  const char* stage = nullptr;
+  return run_fsm_staged(fsm, options, stage);
+}
+
 robust::Result<CircuitExperiment> try_run_circuit(
     const std::string& name, const ExperimentOptions& options) {
-  Kiss2Fsm fsm;
+  const char* stage = "load";
   try {
-    fsm = load_benchmark(name);
+    return run_circuit_staged(name, options, stage);
   } catch (...) {
-    return stage_status("load", name);
-  }
-  robust::Result<CircuitExperiment> r = try_run_fsm(fsm, options);
-  if (!r.is_ok()) return r;
-  try {
-    CircuitExperiment exp = r.take();
-    exp.spec = benchmark_spec(name);
-    require(exp.synth.circuit.num_sv == exp.spec.sv,
-            "circuit " + name + ": synthesized sv disagrees with Table 4");
-    return exp;
-  } catch (...) {
-    return stage_status("verify", name);
+    return stage_status(stage, name);
   }
 }
 
 robust::Result<CircuitExperiment> try_run_fsm(const Kiss2Fsm& fsm,
                                               const ExperimentOptions& options) {
-  CircuitExperiment exp;
-  exp.fsm = fsm;
-
+  const char* stage = "lint";
   try {
-    lint_preflight(fsm, options.lint);
+    return run_fsm_staged(fsm, options, stage);
   } catch (...) {
-    return stage_status("lint", fsm.name);
+    return stage_status(stage, fsm.name);
   }
+}
 
-  store::Store* cache = store::resolve(options.cache);
-  const std::uint64_t skey =
-      cache ? harness::synth_key(fsm, options.synth) : 0;
-  if (!harness::load_synth(cache, skey, &exp.synth, &exp.table,
-                           &exp.synth_seconds)) {
-    try {
-      obs::StageScope scope("synth", fsm.name);
-      Timer timer;
-      exp.synth = synthesize_scan_circuit(exp.fsm, options.synth);
-      exp.synth_seconds = timer.seconds();
-    } catch (...) {
-      return stage_status("synth", fsm.name);
-    }
+GateLevelResult run_gate_level(const CircuitExperiment& exp,
+                               const GateLevelOptions& options) {
+  return gate_level(exp, exp.gen.tests, options);
+}
 
-    try {
-      obs::StageScope scope("verify.readback", fsm.name);
-      std::string message;
-      const bool matches = circuit_matches_fsm(exp.synth.circuit, exp.fsm,
-                                               exp.synth.encoding, &message);
-      if (!matches)
-        return robust::Status::error(robust::Code::kInternal,
-                                     "synthesis self-check failed: " + message)
-            .with_context("stage verify")
-            .with_context("circuit " + fsm.name);
-      exp.table =
-          read_back_table(exp.synth.circuit, &exp.fsm, &exp.synth.encoding);
-    } catch (...) {
-      return stage_status("verify", fsm.name);
-    }
-    harness::save_synth(cache, skey, exp.synth, exp.table, exp.synth_seconds);
-  }
-
-  obs::StageScope gen_scope("generate", fsm.name);
-  const std::uint64_t gkey =
-      cache ? harness::gen_key(exp.table, options.gen) : 0;
-  if (!harness::load_gen(cache, gkey, &exp.gen)) {
-    robust::Result<GeneratorResult> gen =
-        try_generate_functional_tests(exp.table, options.gen);
-    if (!gen.is_ok()) {
-      robust::Status s = gen.status();
-      return s.with_context("stage generate")
-          .with_context("circuit " + fsm.name);
-    }
-    exp.gen = gen.take();
-    harness::save_gen(cache, gkey, exp.gen);
-  }
-  if (exp.gen.degraded)
-    log_warn("circuit " + fsm.name + ": generation degraded by budget (" +
-             std::to_string(exp.gen.uio_aborted_states()) +
-             " UIO searches aborted; scan-out fallback keeps coverage)");
-  return exp;
+GateLevelResult run_gate_level(const CircuitExperiment& exp,
+                               bool classify_redundancy) {
+  GateLevelOptions options;
+  options.classify_redundancy = classify_redundancy;
+  return run_gate_level(exp, options);
 }
 
 robust::Result<GateLevelResult> try_run_gate_level(
@@ -353,6 +308,26 @@ robust::Result<GateLevelResult> try_run_gate_level(
   } catch (...) {
     return stage_status("gate-level", exp.fsm.name);
   }
+}
+
+TestFile test_file_for(const CircuitExperiment& exp) {
+  TestFile file;
+  file.circuit = exp.fsm.name;
+  file.input_bits = exp.table.input_bits();
+  file.state_bits = exp.synth.circuit.num_sv;
+  file.tests = exp.gen.tests;
+  return file;
+}
+
+GateLevelResult simulate_test_file(const CircuitExperiment& exp,
+                                   const TestFile& file,
+                                   const GateLevelOptions& options) {
+  require(file.input_bits == exp.table.input_bits(),
+          "test file input width does not match the circuit");
+  require(file.state_bits == exp.synth.circuit.num_sv,
+          "test file state width does not match the circuit");
+  file.tests.validate(exp.table);
+  return gate_level(exp, file.tests, options);
 }
 
 std::size_t SuiteResult::failures() const {

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "atpg/generator.h"
+#include "atpg/test_io.h"
 #include "base/robust/budget.h"
 #include "base/robust/status.h"
 #include "fault/bridging.h"
@@ -84,26 +85,34 @@ struct GateLevelOptions {
   /// resolution rule as ExperimentOptions::cache).
   store::Store* cache = nullptr;
   /// Run the fault-independent static implication engine before any
-  /// simulation and drop faults it proves untestable from the simulated
-  /// universe (they are re-added to the redundancy totals afterwards, so
-  /// headline counts match an unpruned run). The same analyzer then backs
-  /// the redundancy classifier, so statically-resolved misses skip the
+  /// simulation and leave the faults it proves untestable out of the
+  /// simulation. They stay in every list and total as undetected faults,
+  /// so no reported number changes. The same analyzer then backs the
+  /// redundancy classifier, so statically-resolved misses skip the
   /// exhaustive scan.
   bool static_prune = false;
+  /// Bounds the stuck-at and bridging simulations together: one RunGuard
+  /// at site `fault_sim.batch` is shared by both, and BudgetError is thrown
+  /// if either stops early (partial coverage would under-report). Fault
+  /// enumeration, static pruning and redundancy classification are not
+  /// budgeted.
+  robust::Budget budget;
 };
 
 struct GateLevelResult {
-  std::vector<FaultSpec> sa_faults;  ///< after static pruning, if any
-  std::vector<FaultSpec> br_faults;  ///< after sampling + static pruning
+  std::vector<FaultSpec> sa_faults;  ///< the enumerated stuck-at list
+  std::vector<FaultSpec> br_faults;  ///< after sampling
   std::size_t br_enumerated = 0;     ///< size of the full bridging list
+  /// Simulations over the whole of sa_faults/br_faults (statically pruned
+  /// faults read as undetected).
   CompactionResult sa;
   CompactionResult br;
   RedundancyResult sa_redundancy;
   RedundancyResult br_redundancy;
   bool redundancy_classified = false;
   /// Static pre-flight stats (meaningful when `static_pruned`). Pruned
-  /// counts are faults removed from sa_faults/br_faults before simulation;
-  /// equiv counts cover the pre-prune stuck-at list.
+  /// counts are faults left out of the simulation; equiv counts cover the
+  /// stuck-at list.
   bool static_pruned = false;
   std::size_t sa_pruned = 0;
   std::size_t br_pruned = 0;
@@ -118,14 +127,27 @@ GateLevelResult run_gate_level(const CircuitExperiment& exp,
 GateLevelResult run_gate_level(const CircuitExperiment& exp,
                                bool classify_redundancy);
 
+/// --- Commands shared by `fstg gen|sim` and `fstg serve` -----------------
+
+/// The test file `fstg gen` writes and serve's `gen` returns.
+TestFile test_file_for(const CircuitExperiment& exp);
+
+/// `fstg sim` and serve's `sim`: run_gate_level over a test file's tests in
+/// place of the generated ones. Throws Error if the file's input or state
+/// width does not match the circuit or a test does not fit the table.
+GateLevelResult simulate_test_file(const CircuitExperiment& exp,
+                                   const TestFile& file,
+                                   const GateLevelOptions& options = {});
+
 /// --- Structured-error boundary ------------------------------------------
 ///
 /// The try_ variants never throw for input-level or resource-level
-/// failures: each pipeline stage (load, synth, verify, generate,
-/// gate-level) is run under a catch boundary that converts exceptions into
-/// a typed Status whose context chain names the stage and circuit. The
-/// suite runner uses them to record per-circuit failures and continue with
-/// the remaining circuits instead of aborting the whole table.
+/// failures. They run the same pipeline as the throwing forms, which
+/// records the stage in flight (load, lint, synth, verify, generate,
+/// gate-level); one catch converts an escaping exception into a typed
+/// Status whose context chain names that stage and the circuit. The suite
+/// runner uses them to record per-circuit failures and continue with the
+/// remaining circuits instead of aborting the whole table.
 robust::Result<CircuitExperiment> try_run_circuit(
     const std::string& name, const ExperimentOptions& options = {});
 robust::Result<CircuitExperiment> try_run_fsm(

@@ -30,8 +30,6 @@
 #include "base/obs/telemetry.h"
 #include "base/store/hash.h"
 #include "base/store/ledger.h"
-#include "fault/fault.h"
-#include "fault/fault_sim.h"
 #include "harness/experiment.h"
 #include "kiss/kiss2_parser.h"
 #include "kiss/kiss2_writer.h"
@@ -321,15 +319,8 @@ struct Server::Impl {
   // --- handlers -----------------------------------------------------------
 
   void handle_gen(const ServeRequest& req, ServeResponse* resp) {
-    const robust::Budget budget = effective_budget(req);
-    const HotCache::Lookup got = compile(req, budget);
+    const HotCache::Lookup got = compile(req, effective_budget(req));
     const CircuitExperiment& exp = *got.exp;
-
-    TestFile file;
-    file.circuit = exp.fsm.name;
-    file.input_bits = exp.table.input_bits();
-    file.state_bits = exp.synth.circuit.num_sv;
-    file.tests = exp.gen.tests;
 
     const int sv = exp.synth.circuit.num_sv;
     std::ostringstream os;
@@ -342,7 +333,8 @@ struct Server::Impl {
        << ", \"uio_states\": " << exp.gen.uios.count()
        << ", \"degraded\": " << (exp.gen.degraded ? "true" : "false")
        << ", \"cache_hit\": " << (got.hit ? "true" : "false")
-       << ", \"test_file\": " << json_quote(write_test_file(file)) << "}";
+       << ", \"test_file\": " << json_quote(write_test_file(test_file_for(exp)))
+       << "}";
     resp->result_json = os.str();
   }
 
@@ -350,34 +342,20 @@ struct Server::Impl {
     const robust::Budget budget = effective_budget(req);
     const HotCache::Lookup got = compile(req, budget);
     const CircuitExperiment& exp = *got.exp;
+    const TestFile file = parse_test_file(req.tests);
 
-    TestFile file = parse_test_file(req.tests);
-    require(file.input_bits == exp.table.input_bits(),
-            "test file input width does not match the circuit");
-    require(file.state_bits == exp.synth.circuit.num_sv,
-            "test file state width does not match the circuit");
-    file.tests.validate(exp.table);
-
-    // Same contract as `fstg sim`: a partial fault simulation would
-    // under-report coverage, so exhaustion is a hard budget failure
-    // (status "budget"), never a silently degraded result.
-    robust::RunGuard guard(budget, "fault_sim.batch");
-    const std::vector<FaultSpec> sa_faults =
-        enumerate_stuck_at(exp.synth.circuit.comb);
-    FaultSimResult sa = simulate_faults_guarded(exp.synth.circuit, file.tests,
-                                                sa_faults, guard);
-    if (!sa.complete) throw BudgetError(guard.status().message());
-
-    CircuitExperiment shim = exp;
-    shim.gen.tests = file.tests;
-    // Redundancy classification is exhaustive and serial; the daemon keeps
-    // latency bounded and reports raw coverage (use `fstg sim` offline for
-    // the detectable-coverage view). The static pre-flight is polynomial,
-    // so request-level opt-in is allowed.
-    GateLevelOptions gate_options;
-    gate_options.classify_redundancy = false;
-    gate_options.static_prune = req.static_prune;
-    GateLevelResult gate = run_gate_level(shim, gate_options);
+    // Same contract as `fstg sim`: the budget bounds the fault
+    // simulations, and exhaustion is a hard budget failure (status
+    // "budget"), never a silently degraded result. Redundancy
+    // classification is exhaustive and serial; the daemon keeps latency
+    // bounded and reports raw coverage (use `fstg sim` offline for the
+    // detectable-coverage view). The static pre-flight is polynomial, so
+    // request-level opt-in is allowed.
+    GateLevelOptions options;
+    options.classify_redundancy = false;
+    options.static_prune = req.static_prune;
+    options.budget = budget;
+    const GateLevelResult gate = simulate_test_file(exp, file, options);
 
     std::ostringstream os;
     os.precision(3);

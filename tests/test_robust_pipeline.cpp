@@ -13,6 +13,7 @@
 #include "base/error.h"
 #include "base/robust/budget.h"
 #include "fault/bridging.h"
+#include "fault/compaction.h"
 #include "fault/fault.h"
 #include "fault/fault_sim.h"
 #include "fault/podem.h"
@@ -205,11 +206,10 @@ INSTANTIATE_TEST_SUITE_P(Circuits, ScanOutFallbackTest,
 // --- Structured-error boundaries -----------------------------------------
 
 TEST_F(RobustPipelineTest, TryGenerateTreatsUioExhaustionAsDegradedSuccess) {
-  StateTable t = table("lion");
   inject_budget_exhaustion("uio.search");
-  robust::Result<GeneratorResult> r = try_generate_functional_tests(t);
+  robust::Result<CircuitExperiment> r = try_run_fsm(load_benchmark("lion"));
   ASSERT_TRUE(r.is_ok());  // scan-out fallback keeps the result valid
-  EXPECT_TRUE(r.value().degraded);
+  EXPECT_TRUE(r.value().gen.degraded);
 }
 
 TEST_F(RobustPipelineTest, SuiteRecordsFailuresAndContinues) {
@@ -239,6 +239,51 @@ TEST_F(RobustPipelineTest, SuiteDemotesGateLevelBudgetFailure) {
   EXPECT_EQ(suite.failures(), 1u);
   EXPECT_EQ(suite.runs[0].failed_stage, "gate-level");
   EXPECT_EQ(suite.runs[0].status.code(), robust::Code::kBudgetExhausted);
+}
+
+// --- The sim budget bounds both fault simulations ------------------------
+
+TEST_F(RobustPipelineTest, SimBudgetBoundsBridgingToo) {
+  const CircuitExperiment exp = run_circuit("lion");
+  const TestFile file = test_file_for(exp);
+  // What lion's stuck-at simulation consumes on its own, in the order the
+  // gate-level run simulates the tests.
+  RunGuard sa_only(Budget{}, "fault_sim.batch");
+  const CompactionResult sa = select_effective_tests(
+      exp.synth.circuit, file.tests, enumerate_stuck_at(exp.synth.circuit.comb),
+      sa_only);
+  ASSERT_TRUE(sa.sim.complete);
+  ASSERT_GT(sa_only.expansions(), 0u);
+
+  // Enough for the stuck-at simulation, not for the bridging one after it.
+  GateLevelOptions options;
+  options.classify_redundancy = false;
+  options.budget.max_expansions = sa_only.expansions() + 1;
+  EXPECT_THROW(simulate_test_file(exp, file, options), BudgetError);
+}
+
+TEST_F(RobustPipelineTest, AmpleSimBudgetMatchesTheUnbudgetedRun) {
+  const CircuitExperiment exp = run_circuit("lion");
+  const TestFile file = test_file_for(exp);
+  GateLevelOptions options;
+  options.classify_redundancy = false;
+  const GateLevelResult free = simulate_test_file(exp, file, options);
+  options.budget.max_expansions = 1'000'000'000;
+  options.budget.time_budget_ms = 3'600'000;
+  const GateLevelResult budgeted = simulate_test_file(exp, file, options);
+  for (const auto& [a, b] : {std::pair{&free.sa, &budgeted.sa},
+                             std::pair{&free.br, &budgeted.br}}) {
+    EXPECT_TRUE(b->sim.complete);
+    EXPECT_EQ(a->sim.detected_by, b->sim.detected_by);
+    EXPECT_EQ(a->sim.test_effective, b->sim.test_effective);
+    EXPECT_EQ(a->effective_tests.size(), b->effective_tests.size());
+    for (std::size_t i = 0; i < a->effective_tests.size(); ++i) {
+      EXPECT_EQ(a->effective_tests.tests[i].init_state,
+                b->effective_tests.tests[i].init_state);
+      EXPECT_EQ(a->effective_tests.tests[i].inputs,
+                b->effective_tests.tests[i].inputs);
+    }
+  }
 }
 
 // --- Site discovery (what the fuzz harness replays against) ---------------

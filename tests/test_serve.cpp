@@ -61,13 +61,7 @@ serve::ServeRequest gen_request(const std::string& id,
 /// Canonical test-file text for a benchmark, computed offline (the same
 /// pipeline the server runs).
 std::string tests_text_for(const std::string& name) {
-  const CircuitExperiment exp = run_fsm(load_benchmark(name));
-  TestFile file;
-  file.circuit = exp.fsm.name;
-  file.input_bits = exp.table.input_bits();
-  file.state_bits = exp.synth.circuit.num_sv;
-  file.tests = exp.gen.tests;
-  return write_test_file(file);
+  return write_test_file(test_file_for(run_fsm(load_benchmark(name))));
 }
 
 /// recv + parse + schema-check one response.
@@ -582,6 +576,53 @@ TEST(ServeServer, BudgetTrippedSimRecordsLedgerAndRespondsBudget) {
   EXPECT_EQ(records[1].command, "serve.gen");
   EXPECT_EQ(records[1].exit_code, 0);
   std::remove(ledger_path.c_str());
+}
+
+TEST(ServeServer, StaticPruneLeavesSimTotalsUnchanged) {
+  // Pruned faults are proven undetectable and count in the raw totals, so
+  // a pruned sim reports exactly the numbers of an unpruned one.
+  ServerFixture fx("prune.sock");
+  fx.start();
+  serve::Client client;
+  fx.connect(&client);
+  const std::string tests = tests_text_for("lion");
+  std::vector<std::vector<obs::JsonField>> results;
+  for (const bool prune : {false, true}) {
+    serve::ServeRequest sim;
+    sim.id = prune ? "pruned" : "plain";
+    sim.type = "sim";
+    sim.circuit = "lion";
+    sim.tests = tests;
+    sim.static_prune = prune;
+    std::string error;
+    ASSERT_TRUE(client.send(serve::serve_request_to_json(sim), &error))
+        << error;
+    const serve::ServeResponse resp = must_recv(client, 60000);
+    ASSERT_EQ(resp.status, "ok") << resp.error;
+    // The sim result is a flat object: its text runs to the first '}'.
+    const std::string& doc = resp.result_json;
+    const std::size_t from = doc.find('{', doc.find("\"result\": "));
+    ASSERT_NE(from, std::string::npos) << doc;
+    std::vector<obs::JsonField> fields;
+    ASSERT_TRUE(obs::json_parse_object(
+        doc.substr(from, doc.find('}', from) + 1 - from), &fields, nullptr,
+        &error))
+        << error;
+    results.push_back(std::move(fields));
+  }
+  // Lion has a bridge the analyzer proves untestable.
+  const obs::JsonField* br_pruned =
+      obs::json_find_field(results[1], "br_pruned");
+  ASSERT_NE(br_pruned, nullptr);
+  EXPECT_GT(br_pruned->nval, 0.0);
+  for (const char* key : {"sa_detected", "sa_total", "sa_coverage",
+                          "sa_effective", "br_detected", "br_total",
+                          "br_coverage", "br_effective"}) {
+    const obs::JsonField* plain = obs::json_find_field(results[0], key);
+    const obs::JsonField* pruned = obs::json_find_field(results[1], key);
+    ASSERT_TRUE(plain != nullptr && pruned != nullptr) << key;
+    EXPECT_EQ(plain->nval, pruned->nval) << key;
+  }
 }
 
 TEST(ServeServer, StopDrainsQueuedRequestsWithTypedResponses) {

@@ -203,28 +203,16 @@ int cmd_gen(const std::string& target, const std::string& out,
   options.gen.uio_max_length = uio_bound;
   options.gen.transfer_max_length = xfer_bound;
   options.gen.budget = budget;
-  CircuitExperiment exp = run_fsm(load_machine(target), options);
-  if (exp.gen.degraded)
-    std::fprintf(stderr,
-                 "warning: budget exhausted during UIO search (%d states "
-                 "aborted); falling back to scan-out — coverage is "
-                 "preserved, cycle count may rise\n",
-                 exp.gen.uio_aborted_states());
-
-  TestFile file;
-  file.circuit = exp.fsm.name;
-  file.input_bits = exp.table.input_bits();
-  file.state_bits = exp.synth.circuit.num_sv;
-  file.tests = exp.gen.tests;
+  const CircuitExperiment exp = run_fsm(load_machine(target), options);
+  const TestFile file = test_file_for(exp);
 
   const int sv = exp.synth.circuit.num_sv;
+  const std::size_t cycles = test_application_cycles(sv, file.tests);
   std::fprintf(stderr,
                "%zu tests, total length %zu, %zu application cycles "
                "(%.2f%% of per-transition)\n",
-               exp.gen.tests.size(), exp.gen.tests.total_length(),
-               test_application_cycles(sv, exp.gen.tests),
-               100.0 *
-                   static_cast<double>(test_application_cycles(sv, exp.gen.tests)) /
+               file.tests.size(), file.tests.total_length(), cycles,
+               100.0 * static_cast<double>(cycles) /
                    static_cast<double>(per_transition_cycles(
                        sv, exp.table.num_transitions())));
   if (out.empty()) {
@@ -238,29 +226,15 @@ int cmd_gen(const std::string& target, const std::string& out,
 
 int cmd_sim(const std::string& target, const std::string& tests_path,
             bool static_prune, const robust::Budget& budget) {
-  CircuitExperiment exp = run_fsm(load_machine(target));
-  TestFile file = load_test_file(tests_path);
-  require(file.input_bits == exp.table.input_bits(),
-          "test file input width does not match the circuit");
-  require(file.state_bits == exp.synth.circuit.num_sv,
-          "test file state width does not match the circuit");
-  file.tests.validate(exp.table);
-
+  const CircuitExperiment exp = run_fsm(load_machine(target));
   // The budget covers the two fault simulations (the dominant cost).
   // A partial simulation would under-report coverage, so exhaustion here
   // is a hard budget failure (exit 3), not a degraded success.
-  robust::RunGuard guard(budget, "fault_sim.batch");
-  const std::vector<FaultSpec> sa_faults = enumerate_stuck_at(exp.synth.circuit.comb);
-  FaultSimResult sa =
-      simulate_faults_guarded(exp.synth.circuit, file.tests, sa_faults, guard);
-  if (!sa.complete) throw BudgetError(guard.status().message());
-
-  CircuitExperiment shim = exp;
-  shim.gen.tests = file.tests;
-  GateLevelOptions gate_options;
-  gate_options.classify_redundancy = true;
-  gate_options.static_prune = static_prune;
-  GateLevelResult gate = run_gate_level(shim, gate_options);
+  GateLevelOptions options;
+  options.static_prune = static_prune;
+  options.budget = budget;
+  const GateLevelResult gate =
+      simulate_test_file(exp, load_test_file(tests_path), options);
   if (gate.static_pruned)
     std::printf(
         "static   : %zu stuck-at + %zu bridging faults pruned "

@@ -207,12 +207,7 @@ int run_parsers(std::uint64_t iters, std::uint64_t seed) {
     CircuitExperiment exp = run_circuit(name);
     kiss_corpus.push_back(write_kiss2(exp.fsm));
     blif_corpus.push_back(to_blif(exp.synth.circuit, name));
-    TestFile tf;
-    tf.circuit = name;
-    tf.input_bits = exp.fsm.num_inputs;
-    tf.state_bits = exp.synth.circuit.num_sv;
-    tf.tests = exp.gen.tests;
-    test_corpus.push_back(write_test_file(tf));
+    test_corpus.push_back(write_test_file(test_file_for(exp)));
   }
 
   Rng rng(seed);
