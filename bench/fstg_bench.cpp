@@ -37,8 +37,8 @@
 #include <vector>
 
 #include "atpg/cycles.h"
-#include "base/obs/json_check.h"
 #include "base/obs/metrics.h"
+#include "base/obs/schema.h"
 #include "base/obs/telemetry.h"
 #include "base/obs/trace.h"
 #include "base/store/fs_util.h"
@@ -144,27 +144,19 @@ BenchRecord bench_circuit(const std::string& name, int threads, int repeat) {
   return rec;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 std::string to_json(const std::vector<BenchRecord>& records, int threads) {
+  using obs::json_quote;
   std::ostringstream os;
   os.precision(3);
   os << std::fixed;
   os << "{\n  \"bench\": \"faultsim\",\n  \"threads\": " << threads
      << ",\n  \"lane_bits\": " << default_lane_bits()
-     << ",\n  \"cpu_features\": \"" << json_escape(cpu_features()) << "\""
-     << ",\n  \"git_rev\": \"" << json_escape(FSTG_GIT_REV) << "\""
+     << ",\n  \"cpu_features\": " << json_quote(cpu_features())
+     << ",\n  \"git_rev\": " << json_quote(FSTG_GIT_REV)
      << ",\n  \"records\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const BenchRecord& r = records[i];
-    os << "    {\"circuit\": \"" << json_escape(r.circuit) << "\""
+    os << "    {\"circuit\": " << json_quote(r.circuit)
        << ", \"faults\": " << r.faults << ", \"tests\": " << r.tests
        << ", \"cycles\": " << r.cycles << ", \"good_ms\": " << r.good_ms
        << ", \"serial_seed_ms\": " << r.serial_seed_ms
@@ -176,55 +168,6 @@ std::string to_json(const std::vector<BenchRecord>& records, int threads) {
   }
   os << "  ]\n}\n";
   return os.str();
-}
-
-/// Schema check of an emitted BENCH_faultsim.json (schema mirrored by
-/// schemas/fstg_bench.schema.json): top-level bench/threads/records, and
-/// every record carries the full set of typed fields. Built on the shared
-/// obs/json_check walker that also validates metrics and trace output.
-bool validate_bench_json(const std::string& text, std::string* error) {
-  std::vector<obs::JsonField> top;
-  std::vector<std::pair<std::string, std::string>> arrays;
-  if (!obs::json_parse_object(text, &top, &arrays, error)) return false;
-  if (!obs::json_has_field(top, "bench", 's') ||
-      !obs::json_has_field(top, "threads", 'n') ||
-      !obs::json_has_field(top, "lane_bits", 'n') ||
-      !obs::json_has_field(top, "cpu_features", 's') ||
-      !obs::json_has_field(top, "git_rev", 's') ||
-      !obs::json_has_field(top, "records", 'a')) {
-    *error =
-        "missing or mistyped top-level field "
-        "(bench/threads/lane_bits/cpu_features/git_rev/records)";
-    return false;
-  }
-  std::vector<std::string> records;
-  for (auto& [key, body] : arrays)
-    if (key == "records") records.push_back(std::move(body));
-  if (records.empty()) {
-    *error = "no records";
-    return false;
-  }
-  const std::vector<std::pair<const char*, char>> required = {
-      {"circuit", 's'},        {"faults", 'n'},       {"tests", 'n'},
-      {"cycles", 'n'},         {"good_ms", 'n'},      {"serial_seed_ms", 'n'},
-      {"serial_event_ms", 'n'}, {"parallel_ms", 'n'}, {"end_to_end_ms", 'n'},
-      {"speedup", 'n'},
-  };
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    std::vector<obs::JsonField> fields;
-    std::string rec_error;
-    if (!obs::json_parse_object(records[i], &fields, nullptr, &rec_error)) {
-      *error = "record " + std::to_string(i) + ": " + rec_error;
-      return false;
-    }
-    for (const auto& [key, kind] : required) {
-      if (!obs::json_has_field(fields, key, kind)) {
-        *error = "record " + std::to_string(i) + ": missing field " + key;
-        return false;
-      }
-    }
-  }
-  return true;
 }
 
 /// --check-overhead: the instrumentation must stay in the noise. Times the
@@ -410,7 +353,7 @@ int main(int argc, char** argv) {
     std::stringstream buf;
     buf << f.rdbuf();
     std::string error;
-    if (!validate_bench_json(buf.str(), &error)) {
+    if (!obs::check_json("fstg_bench", buf.str(), nullptr, &error)) {
       std::fprintf(stderr, "error: %s failed schema validation: %s\n",
                    out.c_str(), error.c_str());
       return 1;

@@ -7,7 +7,7 @@
 #include <mutex>
 #include <sstream>
 
-#include "base/obs/json_check.h"
+#include "base/obs/schema.h"
 #include "base/store/fs_util.h"
 
 namespace fstg::obs {
@@ -113,16 +113,6 @@ int lookup_or_register(std::vector<std::string>& names, int cap,
   if (static_cast<int>(names.size()) >= cap) return -1;  // inert handle
   names.push_back(name);
   return static_cast<int>(names.size()) - 1;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 }  // namespace
@@ -281,19 +271,19 @@ std::string metrics_to_json(const MetricsSnapshot& snap) {
   std::ostringstream os;
   os << "{\n  \"schema\": \"fstg.metrics.v1\",\n  \"counters\": [\n";
   for (std::size_t i = 0; i < snap.counters.size(); ++i)
-    os << "    {\"name\": \"" << json_escape(snap.counters[i].first)
-       << "\", \"value\": " << snap.counters[i].second << "}"
+    os << "    {\"name\": " << json_quote(snap.counters[i].first)
+       << ", \"value\": " << snap.counters[i].second << "}"
        << (i + 1 < snap.counters.size() ? "," : "") << "\n";
   os << "  ],\n  \"gauges\": [\n";
   for (std::size_t i = 0; i < snap.gauges.size(); ++i)
-    os << "    {\"name\": \"" << json_escape(snap.gauges[i].first)
-       << "\", \"value\": " << snap.gauges[i].second << "}"
+    os << "    {\"name\": " << json_quote(snap.gauges[i].first)
+       << ", \"value\": " << snap.gauges[i].second << "}"
        << (i + 1 < snap.gauges.size() ? "," : "") << "\n";
   os << "  ],\n  \"histograms\": [\n";
   for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
     const HistogramSnapshot& h = snap.histograms[i];
-    os << "    {\"name\": \"" << json_escape(h.name)
-       << "\", \"count\": " << h.count << ", \"sum\": " << h.sum
+    os << "    {\"name\": " << json_quote(h.name)
+       << ", \"count\": " << h.count << ", \"sum\": " << h.sum
        << ", \"buckets\": [";
     for (int b = 0; b < kHistogramBuckets; ++b)
       os << h.buckets[static_cast<std::size_t>(b)]
@@ -310,7 +300,7 @@ bool write_metrics_json(const std::string& path, std::string* error) {
   // leave a torn or malformed file at `path`.
   const std::string json = metrics_to_json(snapshot_metrics());
   std::string verr;
-  if (!validate_metrics_json(json, &verr)) {
+  if (!check_json("fstg_metrics", json, nullptr, &verr)) {
     if (error) *error = path + " failed schema validation: " + verr;
     return false;
   }

@@ -13,7 +13,7 @@
 #include <thread>
 
 #include "base/log.h"
-#include "base/obs/json_check.h"
+#include "base/obs/schema.h"
 #include "base/store/fs_util.h"
 
 namespace fstg::obs {
@@ -49,16 +49,6 @@ struct StageTable {
 StageTable& stage_table() {
   static StageTable* t = new StageTable;
   return *t;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 }  // namespace
@@ -154,7 +144,7 @@ std::string telemetry_to_json(const TelemetrySnapshot& snap) {
      << "  \"seq\": " << snap.seq << ",\n"
      << "  \"uptime_ms\": " << snap.uptime_ms << ",\n"
      << "  \"interval_ms\": " << snap.interval_ms << ",\n"
-     << "  \"stage\": \"" << json_escape(snap.stage) << "\",\n"
+     << "  \"stage\": " << json_quote(snap.stage) << ",\n"
      << "  \"stage_elapsed_ms\": " << snap.stage_elapsed_ms << ",\n"
      << "  \"progress_done\": " << snap.progress_done << ",\n"
      << "  \"progress_total\": " << snap.progress_total << ",\n"
@@ -167,13 +157,13 @@ std::string telemetry_to_json(const TelemetrySnapshot& snap) {
      << "  \"stalls\": " << snap.stalls << ",\n"
      << "  \"counters\": [\n";
   for (std::size_t i = 0; i < snap.metrics.counters.size(); ++i)
-    os << "    {\"name\": \"" << json_escape(snap.metrics.counters[i].first)
-       << "\", \"value\": " << snap.metrics.counters[i].second << "}"
+    os << "    {\"name\": " << json_quote(snap.metrics.counters[i].first)
+       << ", \"value\": " << snap.metrics.counters[i].second << "}"
        << (i + 1 < snap.metrics.counters.size() ? "," : "") << "\n";
   os << "  ],\n  \"gauges\": [\n";
   for (std::size_t i = 0; i < snap.metrics.gauges.size(); ++i)
-    os << "    {\"name\": \"" << json_escape(snap.metrics.gauges[i].first)
-       << "\", \"value\": " << snap.metrics.gauges[i].second << "}"
+    os << "    {\"name\": " << json_quote(snap.metrics.gauges[i].first)
+       << ", \"value\": " << snap.metrics.gauges[i].second << "}"
        << (i + 1 < snap.metrics.gauges.size() ? "," : "") << "\n";
   os << "  ]\n}\n";
   return os.str();
@@ -290,7 +280,7 @@ bool TelemetryExporter::publish() {
 
   const std::string json = telemetry_to_json(snap);
   std::string error;
-  if (!validate_telemetry_json(json, &error) ||
+  if (!check_json("fstg_telemetry", json, nullptr, &error) ||
       !store::atomic_write_file(options_.path, json, &error)) {
     c_write_errors.inc();
     if (!im.write_error_logged) {

@@ -90,7 +90,7 @@ struct TelemetrySnapshot {
   std::uint64_t pid = 0;
   std::uint64_t seq = 0;        ///< publish number, starts at 0
   double uptime_ms = 0.0;       ///< monotonic since exporter start
-  int interval_ms = 0;
+  int interval_ms = TelemetryOptions{}.interval_ms;  ///< publish period
   std::string stage;            ///< current pipeline stage ("" = idle)
   double stage_elapsed_ms = 0.0;
   std::uint64_t progress_done = 0;   ///< fault_sim.batches

@@ -9,8 +9,8 @@
 #include <sstream>
 #include <vector>
 
-#include "base/obs/json_check.h"
 #include "base/obs/metrics.h"
+#include "base/obs/schema.h"
 #include "base/store/fs_util.h"
 
 namespace fstg::obs {
@@ -80,17 +80,6 @@ void record(const char* name, std::string detail, std::uint64_t ts_us,
   buf.events.push_back(std::move(ev));
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;  // control chars out
-    out.push_back(c);
-  }
-  return out;
-}
-
 }  // namespace
 
 bool tracing_active() {
@@ -132,14 +121,14 @@ std::string stop_tracing_to_json() {
      << "  \"traceEvents\": [\n";
   for (std::size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& ev = events[i];
-    os << "    {\"name\": \"" << json_escape(ev.name)
-       << "\", \"cat\": \"fstg\", \"ph\": \""
+    os << "    {\"name\": " << json_quote(ev.name)
+       << ", \"cat\": \"fstg\", \"ph\": \""
        << (ev.dur_us == kInstantDur ? "i" : "X") << "\", \"ts\": " << ev.ts_us;
     if (ev.dur_us != kInstantDur) os << ", \"dur\": " << ev.dur_us;
     os << ", \"pid\": 1, \"tid\": " << ev.tid;
     if (ev.dur_us == kInstantDur) os << ", \"s\": \"t\"";
     if (!ev.detail.empty())
-      os << ", \"args\": {\"detail\": \"" << json_escape(ev.detail) << "\"}";
+      os << ", \"args\": {\"detail\": " << json_quote(ev.detail) << "}";
     os << "}" << (i + 1 < events.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
@@ -152,7 +141,7 @@ bool write_trace_json(const std::string& path, std::string* error) {
   // leave a torn or malformed file at `path`.
   const std::string json = stop_tracing_to_json();
   std::string verr;
-  if (!validate_trace_json(json, &verr)) {
+  if (!check_json("fstg_trace", json, nullptr, &verr)) {
     if (error) *error = path + " failed schema validation: " + verr;
     return false;
   }

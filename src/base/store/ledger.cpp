@@ -3,24 +3,14 @@
 #include <ctime>
 #include <sstream>
 
-#include "base/obs/json_check.h"
 #include "base/obs/metrics.h"
+#include "base/obs/schema.h"
 #include "base/store/fs_util.h"
 #include "base/store/store.h"
 
 namespace fstg::store {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 std::string iso8601_utc_now() {
   const std::time_t now = std::time(nullptr);
@@ -47,71 +37,51 @@ std::vector<std::string> split_lines(const std::string& text) {
 }  // namespace
 
 std::string run_record_to_json(const RunRecord& r) {
+  using obs::json_quote;
   std::ostringstream os;
   os.precision(3);
   os << std::fixed;
   os << "{\"schema\": \"fstg.run.v1\""
      << ", \"run\": " << r.run
-     << ", \"timestamp\": \"" << json_escape(r.timestamp) << "\""
-     << ", \"tool\": \"" << json_escape(r.tool) << "\""
-     << ", \"command\": \"" << json_escape(r.command) << "\""
-     << ", \"circuit\": \"" << json_escape(r.circuit) << "\""
-     << ", \"config_hash\": \"" << json_escape(r.config_hash) << "\""
+     << ", \"timestamp\": " << json_quote(r.timestamp)
+     << ", \"tool\": " << json_quote(r.tool)
+     << ", \"command\": " << json_quote(r.command)
+     << ", \"circuit\": " << json_quote(r.circuit)
+     << ", \"config_hash\": " << json_quote(r.config_hash)
      << ", \"exit_code\": " << r.exit_code
      << ", \"wall_ms\": " << r.wall_ms
      << ", \"budget_trips\": " << r.budget_trips
      << ", \"stages\": [";
   for (std::size_t i = 0; i < r.stages.size(); ++i)
-    os << (i ? ", " : "") << "{\"stage\": \"" << json_escape(r.stages[i].stage)
-       << "\", \"ms\": " << r.stages[i].ms << "}";
+    os << (i ? ", " : "") << "{\"stage\": " << json_quote(r.stages[i].stage)
+       << ", \"ms\": " << r.stages[i].ms << "}";
   os << "], \"counters\": [";
   for (std::size_t i = 0; i < r.counters.size(); ++i)
-    os << (i ? ", " : "") << "{\"name\": \"" << json_escape(r.counters[i].first)
-       << "\", \"value\": " << r.counters[i].second << "}";
+    os << (i ? ", " : "") << "{\"name\": " << json_quote(r.counters[i].first)
+       << ", \"value\": " << r.counters[i].second << "}";
   os << "]}\n";
   return os.str();
 }
 
 bool parse_run_record(const std::string& line, RunRecord* record,
                       std::string* error) {
-  if (!obs::validate_run_record_json(line, error)) return false;
-  std::vector<obs::JsonField> top;
-  std::vector<std::pair<std::string, std::string>> arrays;
-  if (!obs::json_parse_object(line, &top, &arrays, error)) return false;
-
+  obs::Json doc;
+  if (!obs::check_json("fstg_run", line, &doc, error)) return false;
   RunRecord r;
-  r.run = static_cast<std::uint64_t>(
-      obs::json_find_field(top, "run")->nval);
-  r.timestamp = obs::json_find_field(top, "timestamp") != nullptr &&
-                        obs::json_find_field(top, "timestamp")->kind == 's'
-                    ? obs::json_find_field(top, "timestamp")->sval
-                    : std::string();
-  r.tool = obs::json_find_field(top, "tool")->sval;
-  r.command = obs::json_find_field(top, "command")->sval;
-  r.circuit = obs::json_find_field(top, "circuit")->sval;
-  r.config_hash = obs::json_find_field(top, "config_hash")->sval;
-  r.exit_code =
-      static_cast<int>(obs::json_find_field(top, "exit_code")->nval);
-  r.wall_ms = obs::json_find_field(top, "wall_ms")->nval;
-  r.budget_trips = static_cast<std::uint64_t>(
-      obs::json_find_field(top, "budget_trips")->nval);
-
-  for (const auto& [key, body] : arrays) {
-    std::vector<obs::JsonField> fields;
-    if (key == "stages") {
-      if (!obs::json_parse_object(body, &fields, nullptr, error)) return false;
-      RunStage s;
-      s.stage = obs::json_find_field(fields, "stage")->sval;
-      s.ms = obs::json_find_field(fields, "ms")->nval;
-      r.stages.push_back(std::move(s));
-    } else if (key == "counters") {
-      if (!obs::json_parse_object(body, &fields, nullptr, error)) return false;
-      r.counters.emplace_back(
-          obs::json_find_field(fields, "name")->sval,
-          static_cast<std::uint64_t>(
-              obs::json_find_field(fields, "value")->nval));
-    }
-  }
+  r.run = static_cast<std::uint64_t>(doc.num("run"));
+  r.timestamp = doc.str("timestamp");
+  r.tool = doc.str("tool");
+  r.command = doc.str("command");
+  r.circuit = doc.str("circuit");
+  r.config_hash = doc.str("config_hash");
+  r.exit_code = static_cast<int>(doc.num("exit_code"));
+  r.wall_ms = doc.num("wall_ms");
+  r.budget_trips = static_cast<std::uint64_t>(doc.num("budget_trips"));
+  for (const obs::Json& s : doc.find("stages")->items)
+    r.stages.push_back({s.str("stage"), s.num("ms")});
+  for (const obs::Json& c : doc.find("counters")->items)
+    r.counters.emplace_back(c.str("name"),
+                            static_cast<std::uint64_t>(c.num("value")));
   *record = std::move(r);
   return true;
 }
@@ -173,7 +143,7 @@ bool Ledger::append(RunRecord record, std::string* error) {
   record.run = next_run;
   if (record.timestamp.empty()) record.timestamp = iso8601_utc_now();
   const std::string line = run_record_to_json(record);
-  if (!obs::validate_run_record_json(line, error)) {
+  if (!obs::check_json("fstg_run", line, nullptr, error)) {
     c_errors.inc();
     return false;
   }

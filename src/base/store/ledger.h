@@ -47,8 +47,8 @@ struct RunRecord {
 };
 
 /// Render one record as a single JSONL line (newline-terminated), schema
-/// fstg.run.v1. Self-checking: appenders validate with
-/// obs::validate_run_record_json before writing.
+/// fstg.run.v1. Self-checking: appenders run obs::check_json on it before
+/// writing.
 std::string run_record_to_json(const RunRecord& record);
 
 /// Parse one ledger line. False (with *error) on malformed or wrong-schema

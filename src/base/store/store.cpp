@@ -6,8 +6,8 @@
 #include <sstream>
 
 #include "base/log.h"
-#include "base/obs/json_check.h"
 #include "base/obs/metrics.h"
+#include "base/obs/schema.h"
 #include "base/store/fs_util.h"
 #include "base/store/hash.h"
 
@@ -155,7 +155,7 @@ Store::Store(std::string dir) : dir_(std::move(dir)) {
   if (!file_exists(meta_path)) {
     const std::string json = cache_meta_json(StoreStats{});
     std::string verr;
-    if (obs::validate_cache_meta_json(json, &verr))
+    if (obs::check_json("fstg_cache_meta", json, nullptr, &verr))
       atomic_write_file(meta_path, json, &verr);
   }
 }
@@ -412,8 +412,8 @@ std::string cache_meta_json(const StoreStats& stats) {
      << "  \"types\": [\n";
   for (std::size_t i = 0; i < stats.types.size(); ++i) {
     const StoreStats::TypeStats& t = stats.types[i];
-    os << "    {\"tag\": \"" << t.tag << "\", \"blobs\": " << t.blobs
-       << ", \"bytes\": " << t.bytes << "}"
+    os << "    {\"tag\": " << obs::json_quote(t.tag)
+       << ", \"blobs\": " << t.blobs << ", \"bytes\": " << t.bytes << "}"
        << (i + 1 < stats.types.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";

@@ -112,8 +112,8 @@ class Store {
 };
 
 /// Render `stats` as schema fstg.cache_meta.v1 JSON
-/// (schemas/fstg_cache_meta.schema.json). Self-checking writers validate
-/// the text with obs::validate_cache_meta_json before emitting it.
+/// (schemas/fstg_cache_meta.schema.json). Self-checking writers run
+/// obs::check_json on the text before emitting it.
 std::string cache_meta_json(const StoreStats& stats);
 
 /// --- Process-global store (the --cache-dir flag) -------------------------

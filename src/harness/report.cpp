@@ -4,21 +4,12 @@
 #include <map>
 #include <sstream>
 
+#include "base/obs/json.h"
 #include "base/table_printer.h"
 
 namespace fstg {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 /// Normalize a watch spec: bench column names carry a "_ms" suffix the
 /// ledger stage names do not.
@@ -104,28 +95,29 @@ Report build_report(const std::vector<store::RunRecord>& records,
 }
 
 std::string report_to_json(const Report& report) {
+  using obs::json_quote;
   std::ostringstream os;
   os.precision(3);
   os << std::fixed;
   os << "{\n  \"schema\": \"fstg.report.v1\",\n"
-     << "  \"ledger\": \"" << json_escape(report.ledger) << "\",\n"
+     << "  \"ledger\": " << json_quote(report.ledger) << ",\n"
      << "  \"runs\": " << report.runs << ",\n"
      << "  \"threshold_pct\": " << report.threshold_pct << ",\n"
      << "  \"watched\": [";
   for (std::size_t i = 0; i < report.watched.size(); ++i)
-    os << (i ? ", " : "") << "\"" << json_escape(report.watched[i]) << "\"";
+    os << (i ? ", " : "") << json_quote(report.watched[i]);
   os << "],\n  \"regressions\": " << report.regressions << ",\n"
      << "  \"regressed\": " << (report.regressed() ? "true" : "false")
      << ",\n  \"circuits\": [\n";
   for (std::size_t c = 0; c < report.circuits.size(); ++c) {
     const ReportCircuit& rc = report.circuits[c];
-    os << "    {\"circuit\": \"" << json_escape(rc.circuit) << "\""
+    os << "    {\"circuit\": " << json_quote(rc.circuit)
        << ", \"runs\": " << rc.runs
        << ", \"baseline_run\": " << rc.baseline_run
        << ", \"latest_run\": " << rc.latest_run << ", \"stages\": [\n";
     for (std::size_t s = 0; s < rc.stages.size(); ++s) {
       const ReportStage& rs = rc.stages[s];
-      os << "      {\"stage\": \"" << json_escape(rs.stage) << "\""
+      os << "      {\"stage\": " << json_quote(rs.stage)
          << ", \"baseline_ms\": " << rs.baseline_ms
          << ", \"latest_ms\": " << rs.latest_ms
          << ", \"delta_pct\": " << rs.delta_pct

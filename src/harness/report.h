@@ -68,7 +68,7 @@ Report build_report(const std::vector<store::RunRecord>& records,
                     const ReportOptions& options, const std::string& ledger);
 
 /// Render as schema fstg.report.v1 (schemas/fstg_report.schema.json);
-/// self-checked by writers with obs::validate_report_json.
+/// writers run obs::check_json on it before emitting it.
 std::string report_to_json(const Report& report);
 
 /// Human-readable table for the terminal.

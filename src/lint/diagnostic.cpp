@@ -1,10 +1,10 @@
 #include "lint/diagnostic.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 #include "base/error.h"
+#include "base/obs/json.h"
 #include "base/obs/metrics.h"
 
 namespace fstg::lint {
@@ -170,38 +170,11 @@ std::string report_to_text(const LintReport& report) {
   return os.str();
 }
 
-namespace {
-
-/// Minimal JSON string escaping, mirroring the obs writers.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string report_to_json(const LintReport& report) {
+  using obs::json_quote;
   std::ostringstream os;
   os << "{\n  \"schema\": \"fstg.lint.v1\",\n"
-     << "  \"source\": \"" << json_escape(report.source) << "\",\n"
+     << "  \"source\": " << json_quote(report.source) << ",\n"
      << "  \"errors\": " << report.errors() << ",\n"
      << "  \"warnings\": " << report.warnings() << ",\n"
      << "  \"infos\": " << report.infos() << ",\n"
@@ -210,11 +183,11 @@ std::string report_to_json(const LintReport& report) {
   const std::vector<Finding>& findings = report.findings();
   for (std::size_t i = 0; i < findings.size(); ++i) {
     const Finding& f = findings[i];
-    os << "    {\"rule\": \"" << json_escape(f.rule) << "\", \"severity\": \""
-       << severity_name(f.severity) << "\", \"message\": \""
-       << json_escape(f.message) << "\", \"hint\": \"" << json_escape(f.hint)
-       << "\", \"file\": \"" << json_escape(f.loc.file)
-       << "\", \"line\": " << f.loc.line << "}"
+    os << "    {\"rule\": " << json_quote(f.rule) << ", \"severity\": \""
+       << severity_name(f.severity) << "\", \"message\": "
+       << json_quote(f.message) << ", \"hint\": " << json_quote(f.hint)
+       << ", \"file\": " << json_quote(f.loc.file)
+       << ", \"line\": " << f.loc.line << "}"
        << (i + 1 < findings.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";

@@ -101,9 +101,8 @@ class LintReport {
 /// followed by a `N error(s), M warning(s), K info(s)` summary line.
 std::string report_to_text(const LintReport& report);
 
-/// Schema `fstg.lint.v1` JSON (schemas/fstg_lint.schema.json). Validated
-/// by obs::validate_lint_json — the same writer/validator pairing as the
-/// metrics and trace formats.
+/// Schema `fstg.lint.v1` JSON (schemas/fstg_lint.schema.json), checked
+/// with obs::check_json like the metrics and trace formats.
 std::string report_to_json(const LintReport& report);
 
 /// Bump `lint.findings.<rule>` counters (one per finding), `lint.errors` /

@@ -1,68 +1,13 @@
 #include "serve/protocol.h"
 
-#include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "base/error.h"
-#include "base/obs/json_check.h"
+#include "base/obs/schema.h"
 
 namespace fstg::serve {
 
-namespace {
-
-/// Extract a string field (empty when absent); kinds were already checked
-/// by the schema validator.
-std::string sval(const std::vector<obs::JsonField>& fields, const char* key) {
-  const obs::JsonField* f = obs::json_find_field(fields, key);
-  return f != nullptr && f->kind == 's' ? f->sval : std::string();
-}
-
-/// Extract a number field with an inclusive range check. Returns false
-/// (with *error) when present but out of range or non-integral.
-bool nval(const std::vector<obs::JsonField>& fields, const char* key,
-          double lo, double hi, double* out, std::string* error) {
-  const obs::JsonField* f = obs::json_find_field(fields, key);
-  if (f == nullptr || f->kind != 'n') return true;  // absent: keep default
-  if (f->nval < lo || f->nval > hi ||
-      f->nval != static_cast<double>(static_cast<long long>(f->nval))) {
-    *error = std::string(key) + " must be an integer in [" +
-             std::to_string(static_cast<long long>(lo)) + ", " +
-             std::to_string(static_cast<long long>(hi)) + "]";
-    return false;
-  }
-  *out = f->nval;
-  return true;
-}
-
-}  // namespace
-
-std::string json_quote(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof hex, "\\u%04x", c);
-          out += hex;
-        } else {
-          out.push_back(static_cast<char>(c));
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
+using obs::json_quote;
 
 std::string encode_frame(const std::string& payload) {
   require(payload.size() <= 0xFFFFFFFFull,
@@ -115,37 +60,26 @@ FrameDecoder::Outcome FrameDecoder::next(std::string* payload,
 
 bool parse_serve_request(const std::string& text, ServeRequest* request,
                          std::string* error) {
+  obs::Json doc;
   std::string err;
-  if (!obs::validate_serve_request_json(text, &err)) {
+  if (!obs::check_json("fstg_serve_request", text, &doc, &err)) {
     if (error) *error = "bad request: " + err;
     return false;
   }
-  std::vector<obs::JsonField> top;
-  if (!obs::json_parse_object(text, &top, nullptr, &err)) {
-    if (error) *error = "bad request: " + err;  // unreachable after validate
-    return false;
-  }
+  // The schema bounds every number, so the casts below cannot overflow.
   ServeRequest req;
-  req.id = sval(top, "id");
-  req.type = sval(top, "type");
-  req.circuit = sval(top, "circuit");
-  req.kiss2 = sval(top, "kiss2");
-  req.tests = sval(top, "tests");
-  double uio = 0.0, xfer = 1.0, time_ms = 0.0, max_exp = 0.0;
-  if (!nval(top, "uio", 0, 64, &uio, &err) ||
-      !nval(top, "xfer", 0, 64, &xfer, &err) ||
-      !nval(top, "time_budget_ms", 0, 86'400'000, &time_ms, &err) ||
-      !nval(top, "max_expansions", 0, 2'000'000'000, &max_exp, &err)) {
-    if (error) *error = "bad request: " + err;
-    return false;
-  }
-  req.uio = static_cast<int>(uio);
-  req.xfer = static_cast<int>(xfer);
-  const obs::JsonField* prune = obs::json_find_field(top, "static_prune");
-  req.static_prune = prune != nullptr && prune->kind == 'b' &&
-                     prune->nval != 0.0;
-  req.budget.time_budget_ms = time_ms;
-  req.budget.max_expansions = static_cast<std::uint64_t>(max_exp);
+  req.id = doc.str("id");
+  req.type = doc.str("type");
+  req.circuit = doc.str("circuit");
+  req.kiss2 = doc.str("kiss2");
+  req.tests = doc.str("tests");
+  req.uio = static_cast<int>(doc.num("uio", 0));
+  req.xfer = static_cast<int>(doc.num("xfer", 1));
+  const obs::Json* prune = doc.find("static_prune");
+  req.static_prune = prune != nullptr && prune->boolean;
+  req.budget.time_budget_ms = doc.num("time_budget_ms", 0);
+  req.budget.max_expansions =
+      static_cast<std::uint64_t>(doc.num("max_expansions", 0));
   *request = std::move(req);
   return true;
 }
@@ -187,29 +121,25 @@ std::string serve_response_to_json(const ServeResponse& response) {
      << "}";
   std::string text = os.str();
   std::string error;
-  require(obs::validate_serve_response_json(text, &error),
+  require(obs::check_json("fstg_serve_response", text, nullptr, &error),
           "serve response failed self-validation: " + error);
   return text;
 }
 
 bool parse_serve_response(const std::string& text, ServeResponse* response,
                           std::string* error) {
+  obs::Json doc;
   std::string err;
-  if (!obs::validate_serve_response_json(text, &err)) {
-    if (error) *error = "bad response: " + err;
-    return false;
-  }
-  std::vector<obs::JsonField> top;
-  if (!obs::json_parse_object(text, &top, nullptr, &err)) {
+  if (!obs::check_json("fstg_serve_response", text, &doc, &err)) {
     if (error) *error = "bad response: " + err;
     return false;
   }
   ServeResponse resp;
-  resp.id = sval(top, "id");
-  resp.type = sval(top, "type");
-  resp.status = sval(top, "status");
-  resp.error = sval(top, "error");
-  resp.wall_ms = obs::json_find_field(top, "wall_ms")->nval;
+  resp.id = doc.str("id");
+  resp.type = doc.str("type");
+  resp.status = doc.str("status");
+  resp.error = doc.str("error");
+  resp.wall_ms = doc.num("wall_ms");
   resp.result_json.clear();  // not round-tripped; callers re-parse `text`
   *response = std::move(resp);
   return true;

@@ -18,9 +18,9 @@ namespace fstg::serve {
 ///
 /// Payloads are schema-validated JSON documents: requests are
 /// `fstg.serve_request.v1`, responses `fstg.serve_response.v1`
-/// (schemas/fstg_serve_{request,response}.schema.json, enforced by the
-/// obs::validate_serve_*_json mirrors). The full protocol, including the
-/// shedding and exit-code semantics, is documented in docs/SERVING.md.
+/// (schemas/fstg_serve_{request,response}.schema.json, checked by
+/// obs::check_json). The full protocol, including the shedding and
+/// exit-code semantics, is documented in docs/SERVING.md.
 
 /// Bytes of the little-endian length prefix.
 inline constexpr std::size_t kFramePrefixBytes = 4;
@@ -100,19 +100,13 @@ struct ServeResponse {
 };
 
 /// Render as schema fstg.serve_response.v1. Self-checking like every JSON
-/// writer here: the document is validated against the schema mirror before
-/// it is returned; a malformed writer throws instead of reaching the wire.
+/// writer here: the document is checked against its schema before it is
+/// returned; a malformed writer throws instead of reaching the wire.
 std::string serve_response_to_json(const ServeResponse& response);
 
 /// Client-side parse of one response payload (the result object is
 /// validated but not extracted). False (with *error) on malformed input.
 bool parse_serve_response(const std::string& text, ServeResponse* response,
                           std::string* error);
-
-/// JSON string literal (quotes included) with full escaping: `"` `\`
-/// and every control byte (named escapes where JSON has them, \u00XX
-/// otherwise). Unlike the telemetry writer's minimal escaper, serve
-/// payloads embed arbitrary client strings and multi-line documents.
-std::string json_quote(const std::string& s);
 
 }  // namespace fstg::serve

@@ -26,6 +26,7 @@
 #include "atpg/cycles.h"
 #include "atpg/test_io.h"
 #include "base/error.h"
+#include "base/obs/json.h"
 #include "base/obs/metrics.h"
 #include "base/obs/telemetry.h"
 #include "base/store/hash.h"
@@ -326,14 +327,15 @@ struct Server::Impl {
     std::ostringstream os;
     os.precision(3);
     os << std::fixed;
-    os << "{\"circuit\": " << json_quote(exp.fsm.name)
+    os << "{\"circuit\": " << obs::json_quote(exp.fsm.name)
        << ", \"tests\": " << exp.gen.tests.size()
        << ", \"total_length\": " << exp.gen.tests.total_length()
        << ", \"cycles\": " << test_application_cycles(sv, exp.gen.tests)
        << ", \"uio_states\": " << exp.gen.uios.count()
        << ", \"degraded\": " << (exp.gen.degraded ? "true" : "false")
        << ", \"cache_hit\": " << (got.hit ? "true" : "false")
-       << ", \"test_file\": " << json_quote(write_test_file(test_file_for(exp)))
+       << ", \"test_file\": "
+       << obs::json_quote(write_test_file(test_file_for(exp)))
        << "}";
     resp->result_json = os.str();
   }
@@ -360,7 +362,7 @@ struct Server::Impl {
     std::ostringstream os;
     os.precision(3);
     os << std::fixed;
-    os << "{\"circuit\": " << json_quote(exp.fsm.name)
+    os << "{\"circuit\": " << obs::json_quote(exp.fsm.name)
        << ", \"tests\": " << file.tests.size()
        << ", \"cache_hit\": " << (got.hit ? "true" : "false");
     if (gate.static_pruned)

@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "base/obs/json_check.h"
+#include "base/obs/schema.h"
 #include "fault/fault_io.h"
 #include "harness/experiment.h"
 #include "kiss/kiss2_parser.h"
@@ -206,15 +206,23 @@ TEST(LintReportFormat, JsonValidatesAgainstSchema) {
   ASSERT_FALSE(report.empty());
   const std::string json = report_to_json(report);
   std::string error;
-  EXPECT_TRUE(obs::validate_lint_json(json, &error)) << error;
+  EXPECT_TRUE(obs::check_json("fstg_lint", json, nullptr, &error)) << error;
   EXPECT_NE(json.find("fstg.lint.v1"), std::string::npos);
+
+  // A schema cannot tie the totals to the findings; check_json still does.
+  const std::string total = "\"errors\": " + std::to_string(report.errors());
+  std::string tampered = json;
+  tampered.replace(tampered.find(total), total.size(),
+                   "\"errors\": " + std::to_string(report.errors() + 1));
+  EXPECT_FALSE(obs::check_json("fstg_lint", tampered, nullptr, &error));
+  EXPECT_EQ(error, "severity totals disagree with the findings array");
 }
 
 TEST(LintReportFormat, EmptyReportJsonValidatesToo) {
   const LintReport report = lint_blif("blif_clean.blif");
   const std::string json = report_to_json(report);
   std::string error;
-  EXPECT_TRUE(obs::validate_lint_json(json, &error)) << error;
+  EXPECT_TRUE(obs::check_json("fstg_lint", json, nullptr, &error)) << error;
 }
 
 TEST(LintReportFormat, EveryEmittedRuleIsInTheCatalog) {
@@ -319,7 +327,9 @@ TEST(LintBudget, ExhaustionTruncatesInsteadOfThrowing) {
   EXPECT_TRUE(report.truncated);
   // Truncation must still produce schema-valid JSON.
   std::string error;
-  EXPECT_TRUE(obs::validate_lint_json(report_to_json(report), &error)) << error;
+  EXPECT_TRUE(
+      obs::check_json("fstg_lint", report_to_json(report), nullptr, &error))
+      << error;
 }
 
 }  // namespace

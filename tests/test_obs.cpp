@@ -1,5 +1,5 @@
 // Observability integration lane (`ctest -L obs`): JSON round-trips of the
-// metrics and trace writers against the shared json_check validators, the
+// metrics and trace writers against their schemas (obs::check_json), the
 // logger's line format, and end-to-end span/counter coverage of the
 // pipeline stages named in docs/OBSERVABILITY.md.
 
@@ -12,8 +12,9 @@
 #include <string>
 
 #include "base/log.h"
-#include "base/obs/json_check.h"
+#include "base/obs/json.h"
 #include "base/obs/metrics.h"
+#include "base/obs/schema.h"
 #include "base/obs/trace.h"
 #include "fault/fault.h"
 #include "harness/experiment.h"
@@ -35,7 +36,8 @@ TEST(ObsJson, MetricsJsonValidatesAgainstSchema) {
   obs::histogram("test.json.hist").observe(12);
   const std::string json = obs::metrics_to_json(obs::snapshot_metrics());
   std::string error;
-  EXPECT_TRUE(obs::validate_metrics_json(json, &error)) << error;
+  EXPECT_TRUE(obs::check_json("fstg_metrics", json, nullptr, &error))
+      << error;
   EXPECT_NE(json.find("\"fstg.metrics.v1\""), std::string::npos);
   EXPECT_NE(json.find("test.json.counter"), std::string::npos);
 }
@@ -46,7 +48,8 @@ TEST(ObsJson, MetricsFileRoundTrip) {
   obs::counter("test.json.file").inc();
   std::string error;
   ASSERT_TRUE(obs::write_metrics_json(path, &error)) << error;
-  EXPECT_TRUE(obs::validate_metrics_json(slurp(path), &error)) << error;
+  EXPECT_TRUE(obs::check_json("fstg_metrics", slurp(path), nullptr, &error))
+      << error;
   std::remove(path.c_str());
 }
 
@@ -59,7 +62,7 @@ TEST(ObsJson, TraceJsonValidatesAgainstSchema) {
   }
   const std::string json = obs::stop_tracing_to_json();
   std::string error;
-  EXPECT_TRUE(obs::validate_trace_json(json, &error)) << error;
+  EXPECT_TRUE(obs::check_json("fstg_trace", json, nullptr, &error)) << error;
   EXPECT_NE(json.find("test.trace.outer"), std::string::npos);
   EXPECT_NE(json.find("test.trace.marker"), std::string::npos);
   EXPECT_NE(json.find("\"fstg.trace.v1\""), std::string::npos);
@@ -67,44 +70,98 @@ TEST(ObsJson, TraceJsonValidatesAgainstSchema) {
 
 TEST(ObsJson, MalformedJsonIsRejected) {
   std::string error;
-  EXPECT_FALSE(obs::validate_metrics_json("", &error));
-  EXPECT_FALSE(obs::validate_metrics_json("[1,2,3]", &error));
-  EXPECT_FALSE(obs::validate_metrics_json("{\"schema\": \"wrong.v0\"}", &error));
-  EXPECT_FALSE(obs::validate_metrics_json(
+  EXPECT_FALSE(obs::check_json("fstg_metrics", "", nullptr, &error));
+  EXPECT_FALSE(obs::check_json("fstg_metrics", "[1,2,3]", nullptr, &error));
+  EXPECT_FALSE(obs::check_json("fstg_metrics", "{\"schema\": \"wrong.v0\"}",
+                               nullptr, &error));
+  EXPECT_FALSE(obs::check_json(
+      "fstg_metrics",
       "{\"schema\": \"fstg.metrics.v1\", \"counters\": [{\"name\": 3}]}",
-      &error));
-  EXPECT_FALSE(obs::validate_trace_json("{\"traceEvents\": 5}", &error));
-  EXPECT_FALSE(obs::validate_trace_json(
+      nullptr, &error));
+  EXPECT_FALSE(
+      obs::check_json("fstg_trace", "{\"traceEvents\": 5}", nullptr, &error));
+  EXPECT_FALSE(obs::check_json(
+      "fstg_trace",
       "{\"otherData\": {\"schema\": \"fstg.trace.v1\"}, "
       "\"traceEvents\": [{\"name\": \"x\"}]}",
-      &error));
-  // Unterminated object: the walker must not run off the end.
-  EXPECT_FALSE(obs::validate_metrics_json("{\"schema\": ", &error));
+      nullptr, &error));
+  // Unterminated object: the reader must not run off the end.
+  EXPECT_FALSE(
+      obs::check_json("fstg_metrics", "{\"schema\": ", nullptr, &error));
+
+  // The reader refuses what RFC 8259 refuses, even around a valid document.
+  const std::string valid =
+      "{\"schema\": \"fstg.metrics.v1\", \"counters\": [], \"gauges\": [], "
+      "\"histograms\": []}";
+  ASSERT_TRUE(obs::check_json("fstg_metrics", valid, nullptr, &error))
+      << error;
+  EXPECT_FALSE(obs::check_json("fstg_metrics", valid + " trailing garbage",
+                               nullptr, &error));
+  for (const char* bad :
+       {"{\"n\": +1}", "{\"n\": 1.}", "{\"n\": .5e1}", "{\"n\": 01}",
+        "{\"n\": 1e}", "{\"n\": -}", "{\"s\": \"tab\there\"}",
+        "{\"s\": \"new\nline\"}", "{\"s\": \"\\ud800\"}", "[1,]",
+        "{\"a\" 1}", "{} {}"}) {
+    obs::Json doc;
+    EXPECT_FALSE(obs::parse_json(bad, &doc, &error)) << bad;
+  }
+  obs::Json doc;
+  EXPECT_FALSE(obs::parse_json(std::string("\"nul\0\"", 6), &doc, &error));
 }
 
 TEST(ObsJson, ParserCollectsTypedFields) {
-  std::vector<obs::JsonField> fields;
-  std::vector<std::pair<std::string, std::string>> arrays;
+  obs::Json doc;
   std::string error;
-  ASSERT_TRUE(obs::json_parse_object(
+  ASSERT_TRUE(obs::parse_json(
       R"({"s": "hi", "n": -2.5, "a": [1, {"k": 2}], "b": true, "z": null})",
-      &fields, &arrays, &error))
+      &doc, &error))
       << error;
-  EXPECT_TRUE(obs::json_has_field(fields, "s", 's'));
-  EXPECT_TRUE(obs::json_has_field(fields, "n", 'n'));
-  EXPECT_TRUE(obs::json_has_field(fields, "a", 'a'));
-  EXPECT_TRUE(obs::json_has_field(fields, "b", 'b'));
-  EXPECT_FALSE(obs::json_has_field(fields, "s", 'n'));  // wrong kind
-  EXPECT_FALSE(obs::json_has_field(fields, "missing", 's'));
-  const obs::JsonField* s = obs::json_find_field(fields, "s");
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->sval, "hi");
-  const obs::JsonField* n = obs::json_find_field(fields, "n");
-  ASSERT_NE(n, nullptr);
-  EXPECT_DOUBLE_EQ(n->nval, -2.5);
-  ASSERT_EQ(arrays.size(), 2u);  // two elements of "a"
-  EXPECT_EQ(arrays[0].first, "a");
-  EXPECT_EQ(arrays[0].second, "1");
+  using Kind = obs::Json::Kind;
+  ASSERT_EQ(doc.kind, Kind::kObject);
+  EXPECT_EQ(doc.keys, (std::vector<std::string>{"s", "n", "a", "b", "z"}));
+  ASSERT_NE(doc.find("s"), nullptr);
+  EXPECT_EQ(doc.find("s")->kind, Kind::kString);
+  EXPECT_EQ(doc.str("s"), "hi");
+  ASSERT_NE(doc.find("n"), nullptr);
+  EXPECT_EQ(doc.find("n")->kind, Kind::kNumber);
+  EXPECT_DOUBLE_EQ(doc.num("n"), -2.5);
+  const obs::Json* a = doc.find("a");
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->kind, Kind::kArray);
+  ASSERT_EQ(a->items.size(), 2u);  // two elements of "a"
+  EXPECT_EQ(a->items[0].kind, Kind::kNumber);
+  EXPECT_DOUBLE_EQ(a->items[0].number, 1.0);
+  EXPECT_EQ(a->items[1].kind, Kind::kObject);
+  EXPECT_DOUBLE_EQ(a->items[1].num("k"), 2.0);
+  ASSERT_NE(doc.find("b"), nullptr);
+  EXPECT_EQ(doc.find("b")->kind, Kind::kBool);
+  EXPECT_TRUE(doc.find("b")->boolean);
+  ASSERT_NE(doc.find("z"), nullptr);
+  EXPECT_EQ(doc.find("z")->kind, Kind::kNull);
+  EXPECT_EQ(doc.find("missing"), nullptr);
+  EXPECT_EQ(doc.str("n"), "");               // wrong kind reads as absent
+  EXPECT_DOUBLE_EQ(doc.num("s", -1.0), -1.0);
+
+  // Escapes decode; a repeated name resolves to its last value.
+  ASSERT_TRUE(obs::parse_json(R"({"e": "q\"\\\/\b\f\n\r\t\u00e9", "e": 1})",
+                              &doc, &error))
+      << error;
+  EXPECT_EQ(doc.keys.size(), 2u);
+  EXPECT_DOUBLE_EQ(doc.num("e"), 1.0);
+  EXPECT_EQ(doc.items[0].string, "q\"\\/\b\f\n\r\t\xc3\xa9");
+}
+
+TEST(ObsJson, QuoteRoundTripsEveryByte) {
+  std::string all;
+  for (int c = 0; c < 256; ++c) all.push_back(static_cast<char>(c));
+  const std::string quoted = obs::json_quote(all);
+  for (const char c : quoted) EXPECT_GE(static_cast<unsigned char>(c), 0x20);
+  obs::Json doc;
+  std::string error;
+  ASSERT_TRUE(obs::parse_json(quoted, &doc, &error)) << error;
+  EXPECT_EQ(doc.string, all);
+  EXPECT_EQ(obs::json_quote("a\tb"), "\"a\\tb\"");
+  EXPECT_EQ(obs::json_quote(std::string(1, '\x01')), "\"\\u0001\"");
 }
 
 TEST(ObsLog, LineFormatCarriesLevelThreadAndUptime) {
@@ -123,7 +180,7 @@ TEST(ObsPipeline, RunFsmEmitsStageSpans) {
   (void)run_circuit("lion");
   const std::string json = obs::stop_tracing_to_json();
   std::string error;
-  ASSERT_TRUE(obs::validate_trace_json(json, &error)) << error;
+  ASSERT_TRUE(obs::check_json("fstg_trace", json, nullptr, &error)) << error;
   for (const char* span :
        {"\"parse.kiss2\"", "\"synth\"", "\"verify.readback\"", "\"generate\"",
         "\"uio.derive\"", "\"atpg.chain\""}) {

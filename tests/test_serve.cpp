@@ -28,8 +28,9 @@
 #include <vector>
 
 #include "base/error.h"
-#include "base/obs/json_check.h"
+#include "base/obs/json.h"
 #include "base/obs/metrics.h"
+#include "base/obs/schema.h"
 #include "atpg/test_io.h"
 #include "base/store/ledger.h"
 #include "harness/experiment.h"
@@ -142,7 +143,8 @@ TEST(RequestCodec, ValidRequestsRoundTrip) {
   req.budget.time_budget_ms = 250;
   const std::string json = serve::serve_request_to_json(req);
   std::string error;
-  EXPECT_TRUE(obs::validate_serve_request_json(json, &error)) << error;
+  EXPECT_TRUE(obs::check_json("fstg_serve_request", json, nullptr, &error))
+      << error;
 
   serve::ServeRequest back;
   ASSERT_TRUE(serve::parse_serve_request(json, &back, &error)) << error;
@@ -187,6 +189,27 @@ TEST(RequestCodec, MalformedRequestsAreRejectedNotThrown) {
       "{\"schema\": \"fstg.serve_request.v1\", \"type\": \"gen\", "
       "\"circuit\": 7}",
       &req, &error));
+  // Only RFC 8259 JSON gets through: no bytes after the document, no
+  // non-JSON number spellings, no raw control bytes inside strings.
+  const std::string ping =
+      "{\"schema\": \"fstg.serve_request.v1\", \"type\": \"ping\"}";
+  ASSERT_TRUE(serve::parse_serve_request(ping, &req, &error)) << error;
+  EXPECT_FALSE(serve::parse_serve_request(ping + " trailing garbage", &req,
+                                          &error));
+  for (const char* uio : {"+1", "1.", ".5e1"})
+    EXPECT_FALSE(serve::parse_serve_request(
+        "{\"schema\": \"fstg.serve_request.v1\", \"type\": \"gen\", "
+        "\"circuit\": \"lion\", \"uio\": " + std::string(uio) + "}",
+        &req, &error))
+        << uio;
+  EXPECT_FALSE(serve::parse_serve_request(
+      "{\"schema\": \"fstg.serve_request.v1\", \"type\": \"ping\", "
+      "\"id\": \"tab\there\"}",
+      &req, &error));
+  EXPECT_FALSE(serve::parse_serve_request(
+      "{\"schema\": \"fstg.serve_request.v1\", \"type\": \"ping\", "
+      "\"id\": \"new\nline\"}",
+      &req, &error));
 }
 
 TEST(ResponseCodec, WriterSelfValidatesAndRefusesInconsistentDocuments) {
@@ -196,7 +219,8 @@ TEST(ResponseCodec, WriterSelfValidatesAndRefusesInconsistentDocuments) {
   resp.wall_ms = 1.5;
   const std::string json = serve::serve_response_to_json(resp);
   std::string error;
-  EXPECT_TRUE(obs::validate_serve_response_json(json, &error)) << error;
+  EXPECT_TRUE(obs::check_json("fstg_serve_response", json, nullptr, &error))
+      << error;
   serve::ServeResponse back;
   ASSERT_TRUE(serve::parse_serve_response(json, &back, &error)) << error;
   EXPECT_EQ(back.id, "x");
@@ -586,7 +610,7 @@ TEST(ServeServer, StaticPruneLeavesSimTotalsUnchanged) {
   serve::Client client;
   fx.connect(&client);
   const std::string tests = tests_text_for("lion");
-  std::vector<std::vector<obs::JsonField>> results;
+  std::vector<obs::Json> results;
   for (const bool prune : {false, true}) {
     serve::ServeRequest sim;
     sim.id = prune ? "pruned" : "plain";
@@ -599,29 +623,21 @@ TEST(ServeServer, StaticPruneLeavesSimTotalsUnchanged) {
         << error;
     const serve::ServeResponse resp = must_recv(client, 60000);
     ASSERT_EQ(resp.status, "ok") << resp.error;
-    // The sim result is a flat object: its text runs to the first '}'.
-    const std::string& doc = resp.result_json;
-    const std::size_t from = doc.find('{', doc.find("\"result\": "));
-    ASSERT_NE(from, std::string::npos) << doc;
-    std::vector<obs::JsonField> fields;
-    ASSERT_TRUE(obs::json_parse_object(
-        doc.substr(from, doc.find('}', from) + 1 - from), &fields, nullptr,
-        &error))
-        << error;
-    results.push_back(std::move(fields));
+    obs::Json doc;
+    ASSERT_TRUE(obs::parse_json(resp.result_json, &doc, &error)) << error;
+    ASSERT_NE(doc.find("result"), nullptr) << resp.result_json;
+    results.push_back(*doc.find("result"));
   }
   // Lion has a bridge the analyzer proves untestable.
-  const obs::JsonField* br_pruned =
-      obs::json_find_field(results[1], "br_pruned");
-  ASSERT_NE(br_pruned, nullptr);
-  EXPECT_GT(br_pruned->nval, 0.0);
+  ASSERT_NE(results[1].find("br_pruned"), nullptr);
+  EXPECT_GT(results[1].num("br_pruned"), 0.0);
   for (const char* key : {"sa_detected", "sa_total", "sa_coverage",
                           "sa_effective", "br_detected", "br_total",
                           "br_coverage", "br_effective"}) {
-    const obs::JsonField* plain = obs::json_find_field(results[0], key);
-    const obs::JsonField* pruned = obs::json_find_field(results[1], key);
+    const obs::Json* plain = results[0].find(key);
+    const obs::Json* pruned = results[1].find(key);
     ASSERT_TRUE(plain != nullptr && pruned != nullptr) << key;
-    EXPECT_EQ(plain->nval, pruned->nval) << key;
+    EXPECT_EQ(plain->number, pruned->number) << key;
   }
 }
 

@@ -22,8 +22,8 @@
 #include <vector>
 
 #include "atpg/test_io.h"
-#include "base/obs/json_check.h"
 #include "base/obs/metrics.h"
+#include "base/obs/schema.h"
 #include "base/store/fs_util.h"
 #include "base/store/hash.h"
 #include "base/store/serial.h"
@@ -401,12 +401,13 @@ TEST(StoreMeta, CacheMetaJsonValidatesAgainstSchemaMirror) {
   ASSERT_TRUE(s.put(2, 2, 1, "gen", "defgh"));
 
   std::string error;
-  EXPECT_TRUE(obs::validate_cache_meta_json(cache_meta_json(s.stats()),
-                                            &error))
+  EXPECT_TRUE(obs::check_json("fstg_cache_meta", cache_meta_json(s.stats()),
+                              nullptr, &error))
       << error;
   // The informational meta record written at open validates too.
-  EXPECT_TRUE(obs::validate_cache_meta_json(
-      read_all(s.dir() + "/cache_meta.json"), &error))
+  EXPECT_TRUE(obs::check_json("fstg_cache_meta",
+                              read_all(s.dir() + "/cache_meta.json"), nullptr,
+                              &error))
       << error;
 
   const store::StoreStats stats = s.stats();

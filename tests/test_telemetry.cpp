@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -22,8 +23,9 @@
 #include <thread>
 #include <vector>
 
-#include "base/obs/json_check.h"
+#include "base/obs/json.h"
 #include "base/obs/metrics.h"
+#include "base/obs/schema.h"
 #include "base/obs/telemetry.h"
 #include "base/store/fs_util.h"
 #include "base/store/hash.h"
@@ -47,13 +49,11 @@ std::string temp_path(const std::string& name) {
 }
 
 double number_field(const std::string& json, const std::string& key) {
-  std::vector<obs::JsonField> fields;
-  std::vector<std::pair<std::string, std::string>> bodies;
+  obs::Json doc;
   std::string error;
-  EXPECT_TRUE(obs::json_parse_object(json, &fields, &bodies, &error)) << error;
-  const obs::JsonField* f = obs::json_find_field(fields, key);
-  EXPECT_NE(f, nullptr) << "missing field " << key;
-  return f ? f->nval : -1.0;
+  EXPECT_TRUE(obs::parse_json(json, &doc, &error)) << error;
+  EXPECT_NE(doc.find(key), nullptr) << "missing field " << key;
+  return doc.num(key, -1.0);
 }
 
 store::RunRecord make_record(const std::string& circuit, double parallel_ms,
@@ -114,7 +114,8 @@ TEST(TelemetrySnapshot, TakeFillsProgressFromRegistry) {
   EXPECT_EQ(snap.cache_hits, 3u);
   const std::string json = obs::telemetry_to_json(snap);
   std::string error;
-  EXPECT_TRUE(obs::validate_telemetry_json(json, &error)) << error;
+  EXPECT_TRUE(obs::check_json("fstg_telemetry", json, nullptr, &error))
+      << error;
 }
 
 // --- live file under rapid publishing ------------------------------------
@@ -145,7 +146,7 @@ TEST(TelemetryExporter, LiveFileAlwaysValidWhileRunning) {
   for (int i = 0; i < 200; ++i) {
     const std::string json = slurp(path);
     ASSERT_FALSE(json.empty());
-    ASSERT_TRUE(obs::validate_telemetry_json(json, &error))
+    ASSERT_TRUE(obs::check_json("fstg_telemetry", json, nullptr, &error))
         << error << "\n" << json;
     const double done = number_field(json, "progress_done");
     EXPECT_GE(done, last_done);
@@ -160,7 +161,9 @@ TEST(TelemetryExporter, LiveFileAlwaysValidWhileRunning) {
 
   // stop() publishes a final snapshot, so the file outlives the exporter
   // reflecting the finished run.
-  ASSERT_TRUE(obs::validate_telemetry_json(slurp(path), &error)) << error;
+  ASSERT_TRUE(
+      obs::check_json("fstg_telemetry", slurp(path), nullptr, &error))
+      << error;
   EXPECT_GE(number_field(slurp(path), "progress_done"), last_done);
   std::remove(path.c_str());
 }
@@ -244,7 +247,9 @@ TEST(TelemetryExporter, SpuriousWakeupsDoNotPublishEarly) {
   // stop() still publishes its final snapshot through the same CV.
   exporter.stop();
   EXPECT_EQ(exporter.ticks(), 2u);
-  ASSERT_TRUE(obs::validate_telemetry_json(slurp(path), &error)) << error;
+  ASSERT_TRUE(
+      obs::check_json("fstg_telemetry", slurp(path), nullptr, &error))
+      << error;
   std::remove(path.c_str());
 }
 
@@ -352,7 +357,7 @@ TEST(Ledger, RecordJsonRoundTrips) {
   const std::string line = store::run_record_to_json(r);
   EXPECT_EQ(line.back(), '\n');
   std::string error;
-  ASSERT_TRUE(obs::validate_run_record_json(line, &error)) << error;
+  ASSERT_TRUE(obs::check_json("fstg_run", line, nullptr, &error)) << error;
 
   store::RunRecord back;
   ASSERT_TRUE(store::parse_run_record(line, &back, &error)) << error;
@@ -385,6 +390,32 @@ TEST(Ledger, AppendAssignsDenseRunIdsAndReadsBack) {
   EXPECT_EQ(records[2].run, 2u);
   EXPECT_EQ(records[1].circuit, "keyb");
   for (const store::RunRecord& r : records) EXPECT_FALSE(r.timestamp.empty());
+  std::remove(path.c_str());
+}
+
+TEST(Ledger, ControlCharactersInNamesRoundTrip) {
+  // Circuit names are input paths, and paths may hold tabs and newlines.
+  // Each record must stay one strict-JSON line: a raw newline would split
+  // it, and the next append would drop it and reuse its run id.
+  const std::string path = temp_path("control.jsonl");
+  store::Ledger ledger(path);
+  std::string error;
+  ASSERT_TRUE(ledger.append(make_record("a\tb.kiss", 1.0, 2.0), &error))
+      << error;
+  ASSERT_TRUE(ledger.append(make_record("x\ny.kiss", 1.0, 2.0), &error))
+      << error;
+  ASSERT_TRUE(ledger.append(make_record("bbara", 1.0, 2.0), &error)) << error;
+
+  const std::vector<store::RunRecord> records = ledger.read();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].circuit, "a\tb.kiss");
+  EXPECT_EQ(records[1].circuit, "x\ny.kiss");
+  EXPECT_EQ(records[2].circuit, "bbara");
+  for (std::size_t i = 0; i < records.size(); ++i)
+    EXPECT_EQ(records[i].run, i);
+  const std::string text = slurp(path);
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 3);
+  EXPECT_EQ(text.find('\t'), std::string::npos);
   std::remove(path.c_str());
 }
 
@@ -453,7 +484,7 @@ TEST(Report, EqualRunsDoNotRegress) {
 
   const std::string json = report_to_json(report);
   std::string error;
-  EXPECT_TRUE(obs::validate_report_json(json, &error)) << error;
+  EXPECT_TRUE(obs::check_json("fstg_report", json, nullptr, &error)) << error;
   EXPECT_NE(report_to_text(report).find("bbara"), std::string::npos);
 }
 
@@ -546,27 +577,29 @@ TEST(Report, SingleRunNeverRegresses) {
 
 TEST(TelemetryValidators, RejectMalformedDocuments) {
   std::string error;
-  EXPECT_FALSE(obs::validate_telemetry_json("{}", &error));
-  EXPECT_FALSE(obs::validate_telemetry_json(
-      "{\"schema\": \"fstg.metrics.v1\"}", &error));
-  EXPECT_FALSE(obs::validate_run_record_json("not json", &error));
-  EXPECT_FALSE(obs::validate_report_json("{\"schema\": \"fstg.report.v1\"}",
-                                         &error));
+  EXPECT_FALSE(obs::check_json("fstg_telemetry", "{}", nullptr, &error));
+  EXPECT_FALSE(obs::check_json("fstg_telemetry",
+                               "{\"schema\": \"fstg.metrics.v1\"}", nullptr,
+                               &error));
+  EXPECT_FALSE(obs::check_json("fstg_run", "not json", nullptr, &error));
+  EXPECT_FALSE(obs::check_json("fstg_report",
+                               "{\"schema\": \"fstg.report.v1\"}", nullptr,
+                               &error));
 
   // Progress must be internally consistent: done beyond a known total is a
   // writer bug the validator refuses to publish.
   obs::TelemetrySnapshot snap = obs::take_telemetry_snapshot();
   snap.progress_total = 5;
   snap.progress_done = 9;
-  EXPECT_FALSE(obs::validate_telemetry_json(obs::telemetry_to_json(snap),
-                                            &error));
+  EXPECT_FALSE(obs::check_json("fstg_telemetry", obs::telemetry_to_json(snap),
+                               nullptr, &error));
 
   // Ledger lines with a non-hex config hash are refused.
   store::RunRecord r = make_record("bbara", 1.0, 2.0);
   r.timestamp = "2026-08-08T12:00:00Z";
   r.config_hash = "XYZXYZXYZXYZXYZ!";
-  EXPECT_FALSE(
-      obs::validate_run_record_json(store::run_record_to_json(r), &error));
+  EXPECT_FALSE(obs::check_json("fstg_run", store::run_record_to_json(r),
+                               nullptr, &error));
 }
 
 }  // namespace

@@ -34,8 +34,8 @@
 #include "atpg/test_io.h"
 #include "base/error.h"
 #include "base/log.h"
-#include "base/obs/json_check.h"
 #include "base/obs/metrics.h"
+#include "base/obs/schema.h"
 #include "base/obs/telemetry.h"
 #include "base/obs/trace.h"
 #include "base/parallel/thread_pool.h"
@@ -296,11 +296,11 @@ int cmd_cache(const std::string& action, bool json, long long max_bytes) {
   if (action == "stats") {
     const store::StoreStats stats = s->stats();
     if (json) {
-      // Self-checking writer: the document is validated against the
-      // fstg.cache_meta.v1 schema mirror before it is emitted.
+      // Self-checking writer: the document is checked against
+      // schemas/fstg_cache_meta.schema.json before it is emitted.
       const std::string text = store::cache_meta_json(stats);
       std::string error;
-      require(obs::validate_cache_meta_json(text, &error),
+      require(obs::check_json("fstg_cache_meta", text, nullptr, &error),
               "cache meta JSON failed self-validation: " + error);
       std::cout << text;
     } else {
@@ -376,14 +376,14 @@ int cmd_lint(const std::string& target, const std::string& faults_path,
     report = lint::run_lint_kiss2(load_machine(target), faults_ptr, options);
   }
 
-  // The JSON view validates itself against the schema mirror before it is
-  // emitted, like the metrics/trace writers: an invalid document must
+  // The JSON view is checked against schemas/fstg_lint.schema.json before
+  // it is emitted, like the metrics/trace writers: an invalid document must
   // never reach a consumer.
   const std::string text =
       json ? lint::report_to_json(report) : lint::report_to_text(report);
   if (json) {
     std::string error;
-    require(obs::validate_lint_json(text, &error),
+    require(obs::check_json("fstg_lint", text, nullptr, &error),
             "lint JSON failed self-validation: " + error);
   }
   write_output(out, text);
@@ -563,11 +563,11 @@ int cmd_report(int argc, char** argv) {
   const Report report = build_report(ledger.read(), options, path);
 
   if (json) {
-    // Self-checking writer, like metrics/lint: validated against the
-    // fstg.report.v1 schema mirror before anything is emitted.
+    // Self-checking writer, like metrics/lint: checked against
+    // schemas/fstg_report.schema.json before anything is emitted.
     const std::string text = report_to_json(report);
     std::string error;
-    require(obs::validate_report_json(text, &error),
+    require(obs::check_json("fstg_report", text, nullptr, &error),
             "report JSON failed self-validation: " + error);
     write_output(out, text);
   } else {

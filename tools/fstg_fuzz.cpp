@@ -828,7 +828,7 @@ bool serve_fuzz_case(const std::vector<std::string>& chunks,
         std::string perr;
         if (serve::parse_serve_request(payload, &req, &perr)) {
           // Writer/parser agreement: an accepted request must render and
-          // re-parse; the writer self-validates against the schema mirror.
+          // re-parse; the writer self-validates against its schema.
           serve::ServeRequest back;
           if (!serve::parse_serve_request(serve::serve_request_to_json(req),
                                           &back, &perr)) {
