@@ -11,7 +11,7 @@
 #include "atpg/cycles.h"
 #include "harness/experiment.h"
 #include "netlist/blif_reader.h"
-#include "netlist/verify.h"
+#include "sim/read_back.h"
 
 namespace {
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "base/obs/metrics.h"
+#include "base/obs/trace.h"
 #include "base/parallel/thread_pool.h"
 #include "fault/fault_sim_width.h"
 #include "sim/scan_sim.h"
@@ -20,6 +21,11 @@ namespace fstg::detail {
 /// Fault-level parallelism only pays off once a batch carries enough live
 /// faults to amortize the fork/join of one parallel region.
 inline constexpr std::size_t kMinParallelFaults = 64;
+
+/// A batch's excitation index is built across the worker slots only once
+/// it spans this many 64-cycle words; shorter batches sweep faster than a
+/// fork/join.
+inline constexpr std::size_t kMinParallelIndexWords = 8;
 
 /// Split the live-fault list (already in cone-sorted schedule order) into
 /// chunks of roughly equal summed work, snapping chunk boundaries to FFR
@@ -79,9 +85,12 @@ void run_engine(FaultSimEngineContext& ctx) {
   // One simulator per worker slot; slot 0 (the caller) doubles as the
   // good-trace simulator. The good trace itself is immutable and shared.
   std::vector<std::unique_ptr<ScanBatchSimT<V>>> sims;
+  std::vector<ScanBatchSimT<V>*> slots;
   sims.reserve(static_cast<std::size_t>(ctx.threads));
-  for (int s = 0; s < ctx.threads; ++s)
+  for (int s = 0; s < ctx.threads; ++s) {
     sims.push_back(std::make_unique<ScanBatchSimT<V>>(ctx.circuit));
+    slots.push_back(sims.back().get());
+  }
 
   std::vector<std::size_t> alive = ctx.schedule;  // cone-sorted fault order
   std::vector<std::size_t> still_alive;
@@ -97,12 +106,22 @@ void run_engine(FaultSimEngineContext& ctx) {
     c_batches.inc();
     c_simulated.add(alive.size());  // per-batch (fault, test-batch) evals
     h_batch_live.observe(alive.size());
-    GoodTraceT<V> good = sims[0]->run_good(batch);
+    GoodTraceT<V> good;
+    {
+      obs::Span span("fault_sim.good_trace");
+      good = sims[0]->run_good(batch);
+    }
     // One excitation/observability index per batch, shared read-only by
-    // every worker. Event-driven only: the full-cone baseline (serial_seed)
-    // must keep paying its historical cost, not ours.
-    if (ctx.mode == FaultyEval::kEventDriven)
-      sims[0]->build_excitation_index(good);
+    // every worker; its words split across the slots (same index for any
+    // split). Event-driven only: the full-cone baseline (serial_seed) must
+    // keep paying its historical cost, not ours.
+    if (ctx.mode == FaultyEval::kEventDriven) {
+      obs::Span span("fault_sim.excitation_index");
+      const std::size_t words = (good.active.size() + 63) / 64;
+      ScanBatchSimT<V>::build_excitation_index(
+          good, std::span<ScanBatchSimT<V>* const>(slots).first(
+                    words >= kMinParallelIndexWords ? slots.size() : 1));
+    }
 
     // Each live fault is simulated independently against the shared good
     // trace; detected_by writes are disjoint per fault, so workers need no

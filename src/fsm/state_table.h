@@ -70,7 +70,7 @@ class StateTable {
 /// How to fill transitions a partial KISS2 description leaves unspecified
 /// when expanding *without* going through logic synthesis. (The benchmark
 /// pipeline instead reads the completed table back from the synthesized
-/// netlist; see netlist/verify.h.)
+/// netlist; see sim/read_back.h.)
 enum class FillPolicy {
   kError,     ///< throw if any (state, input) is unspecified
   kSelfLoop,  ///< unspecified -> stay in state, output all zero

@@ -69,11 +69,12 @@ robust::Status stage_status(const char* stage, const std::string& circuit) {
   }
 }
 
-/// The functional pipeline behind run_fsm and try_run_fsm. `stage` names
-/// the stage in flight, so the try_ form can say where a failure escaped.
-CircuitExperiment run_fsm_staged(const Kiss2Fsm& fsm,
-                                 const ExperimentOptions& options,
-                                 const char*& stage) {
+/// The functional pipeline up to the read-back check: lint, synthesis and
+/// the read-back table. `stage` names the stage in flight, so the try_ form
+/// can say where a failure escaped.
+CircuitExperiment implement_fsm_staged(const Kiss2Fsm& fsm,
+                                       const ExperimentOptions& options,
+                                       const char*& stage) {
   CircuitExperiment exp;
   exp.fsm = fsm;
 
@@ -96,14 +97,12 @@ CircuitExperiment run_fsm_staged(const Kiss2Fsm& fsm,
     stage = "verify";
     {
       obs::StageScope scope("verify.readback", fsm.name);
-      std::string message;
-      const bool matches =
-          circuit_matches_fsm(exp.synth.circuit, exp.fsm, exp.synth.encoding,
-                              &message);
-      require(matches,
-              "synthesis self-check failed for " + fsm.name + ": " + message);
       exp.table =
           read_back_table(exp.synth.circuit, &exp.fsm, &exp.synth.encoding);
+      std::string message;
+      require(circuit_matches_fsm(exp.table, exp.fsm, exp.synth.encoding,
+                                  &message),
+              "synthesis self-check failed for " + fsm.name + ": " + message);
     }
     harness::save_synth(cache, skey, exp.synth, exp.table, exp.synth_seconds);
   }
@@ -111,8 +110,18 @@ CircuitExperiment run_fsm_staged(const Kiss2Fsm& fsm,
   log_info("circuit " + fsm.name + ": " +
            std::to_string(exp.synth.circuit.comb.num_gates()) + " gates, " +
            std::to_string(exp.table.num_states()) + " states");
+  return exp;
+}
+
+/// The whole functional pipeline behind run_fsm and try_run_fsm: the
+/// implemented circuit plus its functional tests.
+CircuitExperiment run_fsm_staged(const Kiss2Fsm& fsm,
+                                 const ExperimentOptions& options,
+                                 const char*& stage) {
+  CircuitExperiment exp = implement_fsm_staged(fsm, options, stage);
 
   stage = "generate";
+  store::Store* cache = store::resolve(options.cache);
   const std::uint64_t gkey =
       cache ? harness::gen_key(exp.table, options.gen) : 0;
   if (!harness::load_gen(cache, gkey, &exp.gen)) {
@@ -267,6 +276,12 @@ CircuitExperiment run_fsm(const Kiss2Fsm& fsm,
                           const ExperimentOptions& options) {
   const char* stage = nullptr;
   return run_fsm_staged(fsm, options, stage);
+}
+
+CircuitExperiment implement_fsm(const Kiss2Fsm& fsm,
+                                const ExperimentOptions& options) {
+  const char* stage = nullptr;
+  return implement_fsm_staged(fsm, options, stage);
 }
 
 robust::Result<CircuitExperiment> try_run_circuit(

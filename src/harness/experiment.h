@@ -12,7 +12,7 @@
 #include "fault/redundancy.h"
 #include "kiss/benchmarks.h"
 #include "netlist/synth.h"
-#include "netlist/verify.h"
+#include "sim/read_back.h"
 
 namespace fstg::store {
 class Store;
@@ -64,6 +64,11 @@ CircuitExperiment run_circuit(const std::string& name,
 /// Same pipeline on a caller-provided machine (examples, tests).
 CircuitExperiment run_fsm(const Kiss2Fsm& fsm,
                           const ExperimentOptions& options = {});
+
+/// The same pipeline stopped before generation: lint, synthesis and the
+/// read-back check, which is all `fstg sim` needs. `gen` stays empty.
+CircuitExperiment implement_fsm(const Kiss2Fsm& fsm,
+                                const ExperimentOptions& options = {});
 
 /// Gate-level evaluation of the functional tests (Tables 3, 6, 7):
 /// stuck-at and bridging fault lists, longest-first effective-test

@@ -3,7 +3,7 @@
 #include "base/obs/trace.h"
 #include "lint/analysis_lint.h"
 #include "netlist/synth.h"
-#include "netlist/verify.h"
+#include "sim/read_back.h"
 
 namespace fstg::lint {
 

@@ -152,6 +152,12 @@ class LogicSimT {
     return xval(nl_->outputs()[static_cast<std::size_t>(output_index)]);
   }
   const std::vector<V>& values() const { return values_; }
+  /// The netlist in the CSR form the evaluation loop reads: gate g's type
+  /// is gate_types()[g] and its fanins are
+  /// fanins()[fanin_begin()[g] .. fanin_begin()[g + 1]).
+  const std::vector<GateType>& gate_types() const { return type_; }
+  const std::vector<int>& fanin_begin() const { return fanin_begin_; }
+  const std::vector<int>& fanins() const { return fanins_; }
   /// X plane of the last evaluation. Always sized num_gates; all-zero after
   /// a two-valued run. `last_run_had_x()` says whether it is worth storing.
   const std::vector<V>& xvals() const { return xvals_; }

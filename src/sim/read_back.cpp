@@ -1,7 +1,10 @@
-#include "netlist/verify.h"
+#include "sim/read_back.h"
+
+#include <algorithm>
 
 #include "base/error.h"
 #include "base/string_util.h"
+#include "sim/logic_sim.h"
 
 namespace fstg {
 
@@ -19,19 +22,44 @@ StateTable read_back_table(const ScanCircuit& circuit, const Kiss2Fsm* fsm,
             : "c" + std::to_string(code);
   }
 
+  // Minterm m = (state code << num_pi) | input combination, which is also
+  // the table's row-major index. Lane l of one pass evaluates minterm
+  // m0 + l, so input i's lane word is bit i of the indices m0..m0+63 (the
+  // same input numbering ScanCircuit::step uses).
   const std::uint32_t nic = table.num_input_combos();
-  for (int code = 0; code < num_states; ++code) {
-    for (std::uint32_t ic = 0; ic < nic; ++ic) {
+  const std::uint64_t minterms = std::uint64_t{nic} << circuit.num_sv;
+  LogicSim sim(circuit.comb);
+  for (std::uint64_t m0 = 0; m0 < minterms; m0 += kWordBits) {
+    for (int i = 0; i < circuit.comb.num_inputs(); ++i) {
+      Word lanes = 0;
+      for (int l = 0; l < kWordBits; ++l)
+        lanes |= (((m0 + static_cast<std::uint64_t>(l)) >> i) & 1u) << l;
+      sim.set_input(i, lanes);
+    }
+    sim.run();
+    const int count =
+        static_cast<int>(std::min<std::uint64_t>(kWordBits, minterms - m0));
+    for (int l = 0; l < count; ++l) {
       std::uint32_t po = 0, ns = 0;
-      circuit.step(static_cast<std::uint32_t>(code), ic, po, ns);
-      table.set(code, ic, static_cast<int>(ns), po);
+      for (int k = 0; k < circuit.num_po; ++k)
+        po |= static_cast<std::uint32_t>((sim.output(k) >> l) & 1u) << k;
+      for (int k = 0; k < circuit.num_sv; ++k)
+        ns |= static_cast<std::uint32_t>(
+                  (sim.output(circuit.num_po + k) >> l) & 1u)
+              << k;
+      const std::uint64_t m = m0 + static_cast<std::uint64_t>(l);
+      table.set(static_cast<int>(m / nic), static_cast<std::uint32_t>(m % nic),
+                static_cast<int>(ns), po);
     }
   }
   return table;
 }
 
-bool circuit_matches_fsm(const ScanCircuit& circuit, const Kiss2Fsm& fsm,
+bool circuit_matches_fsm(const StateTable& table, const Kiss2Fsm& fsm,
                          const Encoding& enc, std::string* message) {
+  require(table.input_bits() == fsm.num_inputs &&
+              table.output_bits() == fsm.num_outputs,
+          "read-back table does not have the machine's input/output width");
   const int pi = fsm.num_inputs;
   for (const auto& row : fsm.rows) {
     const std::uint32_t ps_code =
@@ -55,8 +83,9 @@ bool circuit_matches_fsm(const ScanCircuit& circuit, const Kiss2Fsm& fsm,
       for (std::size_t k = 0; k < free_bits.size(); ++k)
         if ((m >> k) & 1u) ic |= 1u << free_bits[k];
 
-      std::uint32_t po = 0, ns = 0;
-      circuit.step(ps_code, ic, po, ns);
+      const std::uint32_t po = table.output(static_cast<int>(ps_code), ic);
+      const std::uint32_t ns =
+          static_cast<std::uint32_t>(table.next(static_cast<int>(ps_code), ic));
       if (ns != ns_code) {
         if (message)
           *message = strf("state %s input %u: next code %u, expected %u",

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "base/error.h"
+#include "base/parallel/thread_pool.h"
 #include "netlist/netlist.h"
 #include "sim/logic_sim.h"
 
@@ -103,12 +104,18 @@ struct GoodTraceT {
   /// read-only by all workers. run_faulty jumps straight between candidate
   /// cycles instead of testing excitation cycle by cycle.
   ///
-  /// The excitation half: `exc_any1[g]` is set where any lane of gate g's
-  /// fault-free value at cycle c is 1, `exc_any0[g]` where any lane is 0.
+  /// Every bit speaks about *active* lanes only (`active[c]`): a lane whose
+  /// test has ended keeps its last state for the rest of the batch, but it
+  /// can neither detect a fault nor turn dirty, so its values never make a
+  /// cycle a candidate.
+  ///
+  /// The excitation half: `exc_any1[g]` is set where any active lane of
+  /// gate g's fault-free value at cycle c is 1, `exc_any0[g]` where any
+  /// active lane is 0.
   ///
   /// The observability half folds in fanout-free-region propagation. For
   /// each gate the builder computes S_g(c): the per-lane sensitivity of g's
-  /// FFR head to g at cycle c (ones when g is itself a head). `exc_obs1[g]`
+  /// FFR head to g at cycle c (active[c] when g is a head). `exc_obs1[g]`
   /// is set where any lane has value 1 AND is head-sensitive (`exc_obs0`
   /// for value 0). A stuck-at-0 at g changes its head's output exactly at
   /// obs1 cycles (stuck-at-1 at obs0) — excited-but-dies-inside-the-FFR
@@ -199,7 +206,14 @@ class ScanBatchSimT {
   /// extra good simulation per batch). The engine calls this once per batch
   /// for event-driven runs; the index is then shared read-only by every
   /// worker's run_faulty.
-  void build_excitation_index(GoodTraceT<V>& good) const;
+  ///
+  /// No cycle's sweep depends on another's, so the index's 64-cycle words
+  /// are split across one parallel_for slot per simulator in `slots` (all
+  /// over the same circuit; slot s sweeps with slots[s]'s scratch). Each
+  /// word column is written by exactly one slot, so the index is the same
+  /// for any number of slots; a single slot builds on the calling thread.
+  static void build_excitation_index(GoodTraceT<V>& good,
+                                     std::span<ScanBatchSimT* const> slots);
 
   const ScanCircuit& circuit() const { return *circuit_; }
 
@@ -215,6 +229,15 @@ class ScanBatchSimT {
   /// Extract per-lane next states (and their X masks) from the simulator.
   void extract_next_state(std::vector<std::uint32_t>& state,
                           std::vector<std::uint32_t>& state_x, const V& active);
+
+  /// Compute the FFR head flags and size the index sweep's scratch (once
+  /// per simulator; build_excitation_index calls it on the calling thread
+  /// so the parallel sweep never allocates).
+  void prepare_index_scratch();
+  /// Sweep the cycles of index words [w_lo, w_hi) of `good`, setting bits
+  /// only in those word columns of the per-gate and per-pin bitsets.
+  void sweep_index_words(GoodTraceT<V>& good, std::size_t w_lo,
+                         std::size_t w_hi);
 
   /// Materialize the excitation-candidate bitset for `fault` from the good
   /// trace's index into scratch_cand_; returns nullptr when the index is
@@ -245,6 +268,13 @@ class ScanBatchSimT {
   std::vector<std::uint64_t> scratch_cand_;
   std::vector<int> scratch_po_cone_;
   std::vector<int> scratch_sv_cone_;
+  // Index-sweep scratch (prepare_index_scratch): FFR head flags, the
+  // per-cycle head sensitivity S, and the AND/OR prefix/suffix products.
+  // The sweep reads the netlist from sim_'s CSR.
+  std::vector<std::uint8_t> idx_head_;
+  std::vector<V> idx_sens_;
+  std::vector<V> idx_prefix_;
+  std::vector<V> idx_suffix_;
 };
 
 // ---------------------------------------------------------------------------
@@ -315,6 +345,12 @@ GoodTraceT<V> ScanBatchSimT<V>::run_good(std::span<const ScanPattern> batch) {
 
   std::size_t max_len = 0;
   for (const auto& p : batch) max_len = std::max(max_len, p.inputs.size());
+  // One row per cycle, sized up front: growing by doubling would hold up to
+  // twice a long batch's rows at its peak.
+  trace.po.reserve(max_len);
+  trace.active.reserve(max_len);
+  trace.gate_values.reserve(max_len);
+  trace.state_at.reserve(max_len);
 
   std::vector<std::uint32_t> state(batch.size());
   std::vector<std::uint32_t> state_x(batch.size(), 0);
@@ -364,64 +400,86 @@ GoodTraceT<V> ScanBatchSimT<V>::run_good(std::span<const ScanPattern> batch) {
 }
 
 template <class V>
-void ScanBatchSimT<V>::build_excitation_index(GoodTraceT<V>& good) const {
-  const Netlist& nl = circuit_->comb;
-  const std::size_t n = static_cast<std::size_t>(nl.num_gates());
-  const std::size_t rows = good.gate_values.size();
-  const std::size_t W = (rows + 63) / 64;
+void ScanBatchSimT<V>::build_excitation_index(
+    GoodTraceT<V>& good, std::span<ScanBatchSimT* const> slots) {
+  require(!slots.empty(), "excitation index needs a simulator");
+  const std::size_t W = (good.active.size() + 63) / 64;
+  // Chunks of 8 words: slots then set bits at gate*W + w in different cache
+  // lines except at chunk edges. Only the slots parallel_for hands work to
+  // get scratch: at most one per chunk, and just the caller's when this
+  // runs nested in another region (inline).
+  constexpr std::size_t kChunkWords = 8;
+  const std::size_t chunks =
+      std::max<std::size_t>(1, (W + kChunkWords - 1) / kChunkWords);
+  const std::size_t used =
+      parallel::in_parallel_region() ? 1 : std::min(slots.size(), chunks);
+  for (std::size_t s = 0; s < used; ++s) slots[s]->prepare_index_scratch();
+  const std::vector<int>& fanin_begin = slots.front()->sim_.fanin_begin();
+  const std::size_t n = fanin_begin.size() - 1;
+  const std::size_t entries = static_cast<std::size_t>(fanin_begin[n]);
   good.exc_words = W;
   good.exc_any1.assign(n * W, 0);
   good.exc_any0.assign(n * W, 0);
   good.exc_obs1.assign(n * W, 0);
   good.exc_obs0.assign(n * W, 0);
-  good.exc_pin_base.assign(n + 1, 0);
-  for (std::size_t g = 0; g < n; ++g)
-    good.exc_pin_base[g + 1] =
-        good.exc_pin_base[g] +
-        static_cast<std::uint32_t>(nl.gate(static_cast<int>(g)).fanins.size());
-  good.exc_pin_obs1.assign(good.exc_pin_base[n] * W, 0);
-  good.exc_pin_obs0.assign(good.exc_pin_base[n] * W, 0);
+  good.exc_pin_base.assign(fanin_begin.begin(), fanin_begin.end());
+  good.exc_pin_obs1.assign(entries * W, 0);
+  good.exc_pin_obs0.assign(entries * W, 0);
   good.exc_x.assign(W, 0);
+  parallel::parallel_for(
+      W, kChunkWords, static_cast<int>(used),
+      [&](int slot, std::size_t lo, std::size_t hi) {
+        slots[static_cast<std::size_t>(slot)]->sweep_index_words(good, lo, hi);
+      });
+  good.exc_built = true;
+}
 
+template <class V>
+void ScanBatchSimT<V>::prepare_index_scratch() {
+  const std::vector<int>& fanin_begin = sim_.fanin_begin();
+  const std::vector<int>& fanins = sim_.fanins();
+  const std::size_t n = fanin_begin.size() - 1;
+  if (idx_head_.size() == n) return;
   // FFR structure (same head rule as netlist/cones.cpp): a gate is a head
   // iff it drives a circuit output or has other than exactly one fanout
   // *entry* — counting entries, not distinct gates, so a gate feeding two
   // pins of the same fanout is a head too and the single-path sensitivity
   // composition below never applies to it.
-  std::vector<std::uint8_t> is_head(n, 0);
-  {
-    std::vector<int> fanout_entries(n, 0);
-    for (std::size_t g = 0; g < n; ++g)
-      for (int f : nl.gate(static_cast<int>(g)).fanins)
-        ++fanout_entries[static_cast<std::size_t>(f)];
-    for (std::size_t g = 0; g < n; ++g)
-      if (fanout_entries[g] != 1) is_head[g] = 1;
-    for (int out : nl.outputs()) is_head[static_cast<std::size_t>(out)] = 1;
-  }
+  std::vector<int> fanout_entries(n, 0);
+  int max_fanins = 0;
+  for (std::size_t g = 0; g < n; ++g)
+    max_fanins = std::max(max_fanins, fanin_begin[g + 1] - fanin_begin[g]);
+  for (int f : fanins) ++fanout_entries[static_cast<std::size_t>(f)];
+  idx_head_.assign(n, 0);
+  for (std::size_t g = 0; g < n; ++g)
+    if (fanout_entries[g] != 1) idx_head_[g] = 1;
+  for (int out : circuit_->comb.outputs())
+    idx_head_[static_cast<std::size_t>(out)] = 1;
+  idx_sens_.assign(n, Lanes::zero());
+  idx_prefix_.assign(static_cast<std::size_t>(max_fanins) + 1, Lanes::zero());
+  idx_suffix_.assign(static_cast<std::size_t>(max_fanins) + 1, Lanes::zero());
+}
 
-  // Flatten the netlist into CSR form once per build — the sweep below runs
-  // rows * gates times and must not chase per-gate heap vectors.
-  std::size_t max_fanins = 0;
-  std::vector<GateType> types(n);
-  std::vector<int> fanin_ids(good.exc_pin_base[n]);
-  for (std::size_t g = 0; g < n; ++g) {
-    const Gate& gate = nl.gate(static_cast<int>(g));
-    types[g] = gate.type;
-    max_fanins = std::max(max_fanins, gate.fanins.size());
-    std::copy(gate.fanins.begin(), gate.fanins.end(),
-              fanin_ids.begin() + good.exc_pin_base[g]);
-  }
+template <class V>
+void ScanBatchSimT<V>::sweep_index_words(GoodTraceT<V>& good,
+                                         std::size_t w_lo, std::size_t w_hi) {
+  const std::vector<GateType>& types = sim_.gate_types();
+  const int* const pin_base = sim_.fanin_begin().data();
+  const int* const fanins = sim_.fanins().data();
+  const std::size_t n = types.size();
+  const std::size_t rows = good.active.size();
+  const std::size_t W = good.exc_words;
   // S[g] = per-lane sensitivity of g's FFR head to g, valid for the cycle
   // being swept: an interior gate's unique fanout has a higher id (the
   // netlist is topological), so the descending sweep writes S[g] before g
   // is visited. Heads never read their slot.
-  std::vector<V> S(n);
-  std::vector<V> prefix(max_fanins + 1);
-  std::vector<V> suffix(max_fanins + 1);
-
+  V* const S = idx_sens_.data();
+  V* const prefix = idx_prefix_.data();
+  V* const suffix = idx_suffix_.data();
+  const std::uint8_t* const is_head = idx_head_.data();
   const V ones = Lanes::ones();
   const V zero = Lanes::zero();
-  for (std::size_t c = 0; c < rows; ++c) {
+  for (std::size_t c = w_lo * 64; c < std::min(rows, w_hi * 64); ++c) {
     const std::uint64_t bit = std::uint64_t{1} << (c & 63);
     const std::size_t w = c >> 6;
     if (good.cycle_has_x(c)) {
@@ -429,16 +487,17 @@ void ScanBatchSimT<V>::build_excitation_index(GoodTraceT<V>& good) const {
       good.exc_x[w] |= bit;
       continue;
     }
+    const V active = good.active[c];
     const V* row = good.gate_values[c].data();
     for (std::size_t gi = n; gi-- > 0;) {
-      const V Sg = is_head[gi] ? ones : S[gi];
+      const V Sg = is_head[gi] ? active : S[gi];
       const V v = row[gi];
       const std::size_t at = gi * W + w;
-      if (Lanes::any(v)) good.exc_any1[at] |= bit;
-      if (v != ones) good.exc_any0[at] |= bit;
-      const std::size_t begin = good.exc_pin_base[gi];
-      const std::size_t k = good.exc_pin_base[gi + 1] - begin;
-      const int* fan = fanin_ids.data() + begin;
+      if (Lanes::any(v & active)) good.exc_any1[at] |= bit;
+      if (Lanes::any(~v & active)) good.exc_any0[at] |= bit;
+      const std::size_t begin = static_cast<std::size_t>(pin_base[gi]);
+      const std::size_t k = static_cast<std::size_t>(pin_base[gi + 1]) - begin;
+      const int* fan = fanins + begin;
       if (!Lanes::any(Sg)) {
         // Blocked everywhere: no lane of this gate reaches its head, so its
         // obs and pin bits stay clear and so does every fanin's sensitivity.
@@ -505,7 +564,6 @@ void ScanBatchSimT<V>::build_excitation_index(GoodTraceT<V>& good) const {
       }
     }
   }
-  good.exc_built = true;
 }
 
 template <class V>

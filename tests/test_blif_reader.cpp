@@ -5,7 +5,7 @@
 #include "base/error.h"
 #include "harness/experiment.h"
 #include "netlist/export.h"
-#include "netlist/verify.h"
+#include "sim/read_back.h"
 
 namespace fstg {
 namespace {

@@ -1,5 +1,6 @@
 // Determinism lane for the parallel, event-driven fault-simulation engine:
-// bit-identical results across thread counts and evaluation modes, and
+// bit-identical results across thread counts and evaluation modes, the
+// same excitation index for any number of slots building it, and
 // well-formed partial results when a shared budget guard trips mid-region.
 // Runs under the tsan preset (`ctest --preset determinism`).
 
@@ -7,12 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <memory>
+
 #include "base/parallel/thread_pool.h"
+#include "base/rng.h"
 #include "base/robust/budget.h"
 #include "fault/bridging.h"
 #include "fault/fault.h"
 #include "harness/experiment.h"
 #include "netlist/reach.h"
+#include "sim/scan_sim.h"
 
 namespace fstg {
 namespace {
@@ -25,6 +31,31 @@ std::vector<FaultSpec> all_faults(const ScanCircuit& circuit) {
   const std::vector<FaultSpec> bridges = enumerate_bridging(circuit.comb);
   faults.insert(faults.end(), bridges.begin(), bridges.end());
   return faults;
+}
+
+/// The batch shape chaining produces: test 0 runs `long_len` random
+/// vectors and tests 1..63 one to four each, so for most of the batch one
+/// lane is active and 63 sit frozen in their last state. With `with_x`,
+/// input bit 0 of the long test is X in one cycle two thirds of the way in
+/// (an X state bit may then persist, so the cycles before it stay clean).
+TestSet long_and_short_tests(const ScanCircuit& circuit, std::size_t long_len,
+                             bool with_x) {
+  Rng rng(0x5eed);
+  TestSet set;
+  for (int t = 0; t < 64; ++t) {
+    FunctionalTest test;
+    test.init_state = static_cast<int>(rng.below(1u << circuit.num_sv));
+    const std::size_t len = t == 0 ? long_len : 1 + rng.below(4);
+    for (std::size_t c = 0; c < len; ++c)
+      test.inputs.push_back(
+          static_cast<std::uint32_t>(rng.below(1u << circuit.num_pi)));
+    if (with_x && t == 0) {
+      test.input_x.assign(len, 0);
+      test.input_x[len * 2 / 3] = 1;
+    }
+    set.tests.push_back(std::move(test));
+  }
+  return set;
 }
 
 void expect_same_result(const FaultSimResult& a, const FaultSimResult& b) {
@@ -70,6 +101,59 @@ TEST(FaultSimParallel, EventDrivenMatchesFullCone) {
   full.event_driven = false;
   expect_same_result(simulate_faults(circuit, exp.gen.tests, faults, event),
                      simulate_faults(circuit, exp.gen.tests, faults, full));
+  // One long test and 63 short ones: the index build forks, and only the
+  // one active lane may make a tail cycle a candidate.
+  for (const bool with_x : {false, true}) {
+    SCOPED_TRACE(with_x ? "X-bearing" : "two-valued");
+    const TestSet shaped = long_and_short_tests(circuit, 1500, with_x);
+    expect_same_result(simulate_faults(circuit, shaped, faults, event),
+                       simulate_faults(circuit, shaped, faults, full));
+  }
+}
+
+TEST(FaultSimParallel, ExcitationIndexIsTheSameForAnySlotCount) {
+  const ScanCircuit circuit =
+      synthesize_scan_circuit(load_benchmark("cse")).circuit;
+  std::vector<std::unique_ptr<ScanBatchSim>> owned;
+  std::vector<ScanBatchSim*> slots;
+  for (int s = 0; s < 8; ++s) {
+    owned.push_back(std::make_unique<ScanBatchSim>(circuit));
+    slots.push_back(owned.back().get());
+  }
+  const std::span<ScanBatchSim* const> all(slots);
+  for (const bool with_x : {false, true}) {
+    SCOPED_TRACE(with_x ? "X-bearing" : "two-valued");
+    // 4,500 cycles: 71 words, nine 8-word chunks, so all 8 slots sweep.
+    const std::vector<ScanPattern> batch =
+        to_scan_patterns(long_and_short_tests(circuit, 4500, with_x));
+    const GoodTrace base = slots[0]->run_good(batch);
+    ASSERT_EQ(base.has_x, with_x);
+    GoodTrace serial = base;
+    ScanBatchSim::build_excitation_index(serial, all.first(1));
+    ASSERT_EQ(serial.exc_words, 71u);
+    if (with_x) {
+      // Both kinds of cycle inside the sweep: X cycles and clean ones.
+      std::size_t x_cycles = 0;
+      for (std::uint64_t w : serial.exc_x) x_cycles += std::popcount(w);
+      EXPECT_GT(x_cycles, 0u);
+      EXPECT_LT(x_cycles, base.active.size() / 2);
+    }
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      GoodTrace good = base;
+      ScanBatchSim::build_excitation_index(good, all.first(threads));
+      EXPECT_TRUE(good.exc_built);
+      EXPECT_EQ(good.exc_words, serial.exc_words);
+      EXPECT_EQ(good.exc_any1, serial.exc_any1);
+      EXPECT_EQ(good.exc_any0, serial.exc_any0);
+      EXPECT_EQ(good.exc_obs1, serial.exc_obs1);
+      EXPECT_EQ(good.exc_obs0, serial.exc_obs0);
+      EXPECT_EQ(good.exc_pin_obs1, serial.exc_pin_obs1);
+      EXPECT_EQ(good.exc_pin_obs0, serial.exc_pin_obs0);
+      EXPECT_EQ(good.exc_pin_base, serial.exc_pin_base);
+      EXPECT_EQ(good.exc_x, serial.exc_x);
+    }
+  }
 }
 
 TEST(FaultSimParallel, SharedReachabilityMatchesInternal) {

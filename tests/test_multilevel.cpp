@@ -45,7 +45,8 @@ TEST(Multilevel, DeeperThanTwoLevel) {
   SynthesisResult two = synthesize_scan_circuit(fsm);
   SynthesisResult multi = synthesize_scan_circuit(fsm, multilevel_options(4));
   EXPECT_GT(multi.circuit.comb.depth(), two.circuit.comb.depth());
-  EXPECT_TRUE(circuit_matches_fsm(multi.circuit, fsm, multi.encoding));
+  EXPECT_TRUE(circuit_matches_fsm(read_back_table(multi.circuit), fsm,
+                                  multi.encoding));
 }
 
 TEST(EncodingStyles, AllStylesMatchSpecification) {
@@ -56,7 +57,9 @@ TEST(EncodingStyles, AllStylesMatchSpecification) {
     options.encoding = style;
     SynthesisResult r = synthesize_scan_circuit(fsm, options);
     std::string msg;
-    EXPECT_TRUE(circuit_matches_fsm(r.circuit, fsm, r.encoding, &msg)) << msg;
+    EXPECT_TRUE(
+        circuit_matches_fsm(read_back_table(r.circuit), fsm, r.encoding, &msg))
+        << msg;
     EXPECT_TRUE(r.encoding.valid());
   }
 }

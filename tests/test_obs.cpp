@@ -188,6 +188,27 @@ TEST(ObsPipeline, RunFsmEmitsStageSpans) {
   }
 }
 
+TEST(ObsPipeline, SimTraceNamesFaultFreePhases) {
+  // What `fstg sim` runs: the pipeline up to the read-back, then the
+  // simulation of a test file. Each batch's good trace and excitation
+  // index get their own spans; generation is not part of it.
+  const TestFile file = test_file_for(run_circuit("lion"));
+  obs::start_tracing();
+  const CircuitExperiment exp = implement_fsm(load_benchmark("lion"));
+  (void)simulate_test_file(exp, file);
+  const std::string json = obs::stop_tracing_to_json();
+  std::string error;
+  ASSERT_TRUE(obs::check_json("fstg_trace", json, nullptr, &error)) << error;
+  for (const char* span :
+       {"\"verify.readback\"", "\"fault_sim.run\"", "\"fault_sim.good_trace\"",
+        "\"fault_sim.excitation_index\"", "\"gate_level.stuck_at\"",
+        "\"gate_level.bridging\""}) {
+    EXPECT_NE(json.find(span), std::string::npos) << "missing span " << span;
+  }
+  EXPECT_EQ(json.find("\"generate\""), std::string::npos);
+  EXPECT_TRUE(exp.gen.tests.tests.empty());
+}
+
 TEST(ObsPipeline, GateLevelRunFillsFaultSimCounters) {
   obs::reset_metrics();
   CircuitExperiment exp = run_circuit("lion");

@@ -6,7 +6,7 @@
 #include "fsm/state_table.h"
 #include "kiss/benchmarks.h"
 #include "kiss/kiss2_parser.h"
-#include "netlist/verify.h"
+#include "sim/read_back.h"
 
 namespace fstg {
 namespace {
@@ -17,11 +17,11 @@ TEST(Synth, LionMatchesItsStateTable) {
   EXPECT_EQ(r.circuit.num_pi, 2);
   EXPECT_EQ(r.circuit.num_po, 1);
   EXPECT_EQ(r.circuit.num_sv, 2);
-  EXPECT_TRUE(circuit_matches_fsm(r.circuit, lion, r.encoding));
+  StateTable read_back = read_back_table(r.circuit, &lion, &r.encoding);
+  EXPECT_TRUE(circuit_matches_fsm(read_back, lion, r.encoding));
   // lion is completely specified with all codes used: the read-back table
   // must equal the direct expansion.
   StateTable direct = expand_fsm(lion, FillPolicy::kError);
-  StateTable read_back = read_back_table(r.circuit, &lion, &r.encoding);
   EXPECT_TRUE(direct == read_back);
 }
 
@@ -32,7 +32,9 @@ TEST(Synth, EveryLightBenchmarkMatchesItsFsm) {
     Kiss2Fsm fsm = load_benchmark(spec.name);
     SynthesisResult r = synthesize_scan_circuit(fsm);
     std::string msg;
-    EXPECT_TRUE(circuit_matches_fsm(r.circuit, fsm, r.encoding, &msg)) << msg;
+    EXPECT_TRUE(
+        circuit_matches_fsm(read_back_table(r.circuit), fsm, r.encoding, &msg))
+        << msg;
     EXPECT_EQ(r.circuit.num_sv, spec.sv);
   }
 }
@@ -42,7 +44,8 @@ TEST(Synth, PartialSpecificationUsesDontCares) {
   // the gap however it likes, but the specified entry must hold.
   Kiss2Fsm fsm = parse_kiss2(".i 1\n.o 1\n0 a a 1\n");
   SynthesisResult r = synthesize_scan_circuit(fsm);
-  EXPECT_TRUE(circuit_matches_fsm(r.circuit, fsm, r.encoding));
+  EXPECT_TRUE(
+      circuit_matches_fsm(read_back_table(r.circuit), fsm, r.encoding));
 }
 
 TEST(Synth, UnusedCodesAreFreeButUsedCodesExact) {
@@ -83,7 +86,8 @@ TEST(Verify, DetectsBehaviouralMismatch) {
   Encoding wrong = r.encoding;
   std::swap(wrong.code_of_state[0], wrong.code_of_state[1]);
   std::string msg;
-  EXPECT_FALSE(circuit_matches_fsm(r.circuit, lion, wrong, &msg));
+  EXPECT_FALSE(
+      circuit_matches_fsm(read_back_table(r.circuit), lion, wrong, &msg));
   EXPECT_FALSE(msg.empty());
 }
 

@@ -226,7 +226,7 @@ int cmd_gen(const std::string& target, const std::string& out,
 
 int cmd_sim(const std::string& target, const std::string& tests_path,
             bool static_prune, const robust::Budget& budget) {
-  const CircuitExperiment exp = run_fsm(load_machine(target));
+  const CircuitExperiment exp = implement_fsm(load_machine(target));
   // The budget covers the two fault simulations (the dominant cost).
   // A partial simulation would under-report coverage, so exhaustion here
   // is a hard budget failure (exit 3), not a degraded success.
