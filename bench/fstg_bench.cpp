@@ -4,29 +4,25 @@
 // fault list and functional test set:
 //
 //   good        fault-free reference simulation (all 64-lane batches)
-//   serial_seed the seed configuration: full-cone faulty evaluation,
-//               single-threaded (FaultyEval::kFullCone, threads = 0)
-//   serial_evt  event-driven faulty evaluation, single-threaded
-//   parallel    event-driven, N worker threads (default 8)
+//   serial_evt  fault simulation, single-threaded
+//   parallel    fault simulation, N worker threads
 //   end_to_end  run_gate_level (compaction + redundancy) at N threads
 //
 // and emits BENCH_faultsim.json: one record per circuit with fault/cycle
-// counts, wall-clock milliseconds, and the headline speedup
-// (serial_seed / parallel). The file is re-read and schema-validated
-// before the process exits 0, so CI can gate on the exit code alone.
+// counts and wall-clock milliseconds. The file is re-read and
+// schema-validated before the process exits 0, so CI can gate on the exit
+// code alone.
 //
-//   fstg_bench [--smoke] [--circuit NAME] [--threads N] [--lane-bits B]
-//              [--repeat R] [-o out.json]
+//   fstg_bench [--smoke] [--circuit NAME] [--threads N] [--repeat R]
+//              [-o out.json]
 //
 // --smoke runs one small circuit with one repetition (the ctest `perf`
 // label); the default runs the full circuit list with best-of-R timing.
 // --threads defaults to the machine's usable CPU count (affinity-aware) —
 // oversubscribing a pinned process is exactly the anti-pattern the old
-// fixed default of 8 baked in. --lane-bits pins the SIMD lane width
-// (64/256/512) for the event/parallel configurations; the default is the
-// widest width this build supports on this CPU. The emitted JSON records
-// lane_bits, cpu_features and git_rev so perf numbers stay comparable
-// across machines and PRs.
+// fixed default of 8 baked in. The emitted JSON records the engine's lane
+// width (lane_bits, 64), cpu_features and git_rev so perf numbers stay
+// comparable across machines and PRs.
 
 #include <algorithm>
 #include <cstdio>
@@ -66,11 +62,9 @@ struct BenchRecord {
   std::size_t tests = 0;
   std::size_t cycles = 0;
   double good_ms = 0.0;
-  double serial_seed_ms = 0.0;
   double serial_event_ms = 0.0;
   double parallel_ms = 0.0;
   double end_to_end_ms = 0.0;
-  double speedup = 0.0;
 };
 
 /// Best-of-R wall time of one configuration, in milliseconds.
@@ -110,14 +104,6 @@ BenchRecord bench_circuit(const std::string& name, int threads, int repeat) {
     }
   });
 
-  FaultSimOptions serial_seed;  // the pre-optimization configuration
-  serial_seed.threads = 0;
-  serial_seed.event_driven = false;
-  serial_seed.lane_bits = 64;  // pinned: the historic baseline was 64-lane
-  rec.serial_seed_ms = time_best_ms(repeat, [&] {
-    (void)simulate_faults(circuit, exp.gen.tests, faults, serial_seed);
-  });
-
   FaultSimOptions serial_event;
   serial_event.threads = 0;
   rec.serial_event_ms = time_best_ms(repeat, [&] {
@@ -138,9 +124,6 @@ BenchRecord bench_circuit(const std::string& name, int threads, int repeat) {
   gate.classify_redundancy = false;
   rec.end_to_end_ms =
       time_best_ms(repeat, [&] { (void)run_gate_level(exp, gate); });
-
-  rec.speedup = rec.parallel_ms > 0.0 ? rec.serial_seed_ms / rec.parallel_ms
-                                      : 0.0;
   return rec;
 }
 
@@ -159,11 +142,9 @@ std::string to_json(const std::vector<BenchRecord>& records, int threads) {
     os << "    {\"circuit\": " << json_quote(r.circuit)
        << ", \"faults\": " << r.faults << ", \"tests\": " << r.tests
        << ", \"cycles\": " << r.cycles << ", \"good_ms\": " << r.good_ms
-       << ", \"serial_seed_ms\": " << r.serial_seed_ms
        << ", \"serial_event_ms\": " << r.serial_event_ms
        << ", \"parallel_ms\": " << r.parallel_ms
-       << ", \"end_to_end_ms\": " << r.end_to_end_ms
-       << ", \"speedup\": " << r.speedup << "}"
+       << ", \"end_to_end_ms\": " << r.end_to_end_ms << "}"
        << (i + 1 < records.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
@@ -255,8 +236,7 @@ int check_overhead(int repeat) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: fstg_bench [--smoke] [--circuit NAME] [--threads N] "
-               "[--lane-bits B]\n"
+               "usage: fstg_bench [--smoke] [--circuit NAME] [--threads N]\n"
                "                  [--repeat R] [-o out.json]\n"
                "                  [--metrics-out m.json] [--trace-out t.json]\n"
                "                  [--ledger runs.jsonl] [--check-overhead]\n");
@@ -269,7 +249,6 @@ int main(int argc, char** argv) {
   bool smoke = false;
   bool overhead = false;
   int threads = -1;  // -1 = affinity-aware hardware count
-  int lane_bits = 0;
   int repeat = 3;
   std::string out = "BENCH_faultsim.json";
   std::string circuit_override;
@@ -281,8 +260,6 @@ int main(int argc, char** argv) {
       circuit_override = argv[++i];
     else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc)
       threads = std::atoi(argv[++i]);
-    else if (!std::strcmp(argv[i], "--lane-bits") && i + 1 < argc)
-      lane_bits = std::atoi(argv[++i]);
     else if (!std::strcmp(argv[i], "--repeat") && i + 1 < argc)
       repeat = std::max(1, std::atoi(argv[++i]));
     else if (!std::strcmp(argv[i], "-o") && i + 1 < argc)
@@ -298,10 +275,6 @@ int main(int argc, char** argv) {
   }
   if (threads > 256) return usage();
   if (threads < 0) threads = parallel::hardware_threads();
-  if (lane_bits != 0 &&
-      (lane_bits != 64 && lane_bits != 256 && lane_bits != 512))
-    return usage();
-  if (lane_bits != 0) set_default_lane_bits(lane_bits);
 
   if (overhead) {
     try {
@@ -315,8 +288,7 @@ int main(int argc, char** argv) {
   if (!trace_out.empty()) obs::start_tracing();
 
   // Largest circuit last: rie (9 inputs, 5 state variables, 29 states) has
-  // the biggest test volume of the default Table 6 suite (weight <= 1), so
-  // its record carries the headline speedup.
+  // the biggest test volume of the default Table 6 suite (weight <= 1).
   std::vector<std::string> circuits =
       smoke ? std::vector<std::string>{"dk17"}
             : std::vector<std::string>{"bbara", "keyb", "rie"};
@@ -331,11 +303,9 @@ int main(int argc, char** argv) {
       const BenchRecord& r = records.back();
       std::fprintf(stderr,
                    "bench: %-8s %6zu faults %5zu cycles | good %.1fms | "
-                   "seed %.1fms | event %.1fms | %dthr %.1fms | speedup "
-                   "%.2fx\n",
+                   "event %.1fms | %dthr %.1fms\n",
                    r.circuit.c_str(), r.faults, r.cycles, r.good_ms,
-                   r.serial_seed_ms, r.serial_event_ms, threads, r.parallel_ms,
-                   r.speedup);
+                   r.serial_event_ms, threads, r.parallel_ms);
     }
 
     const std::string json = to_json(records, threads);
@@ -378,10 +348,9 @@ int main(int argc, char** argv) {
         kb.add_i64(repeat);
         run.config_hash = store::hash_hex(kb.digest());
         run.exit_code = 0;
-        run.wall_ms = r.good_ms + r.serial_seed_ms + r.serial_event_ms +
-                      r.parallel_ms + r.end_to_end_ms;
+        run.wall_ms =
+            r.good_ms + r.serial_event_ms + r.parallel_ms + r.end_to_end_ms;
         run.stages = {{"good", r.good_ms},
-                      {"serial_seed", r.serial_seed_ms},
                       {"serial_event", r.serial_event_ms},
                       {"parallel", r.parallel_ms},
                       {"end_to_end", r.end_to_end_ms}};

@@ -7,8 +7,6 @@
 
 #include "fault/fault.h"
 #include "fault/fault_sim.h"
-#include "fault/fault_sim_width.h"
-#include "fault/sim_width.h"
 #include "harness/experiment.h"
 #include "logic/minimize.h"
 #include "logic/tautology.h"
@@ -88,50 +86,6 @@ BENCHMARK(BM_FaultSimFull);
 
 void BM_FaultSimCone(benchmark::State& state) { run_fault_sim(state, true); }
 BENCHMARK(BM_FaultSimCone);
-
-// Per-width lane-op kernels (fault/fault_sim_width.h): the three hot loops
-// of the vectorized engine at every lane width the build supports. Widths
-// the CPU lacks are clamped down by resolve_lane_bits, so we register only
-// genuinely distinct widths; items processed = gate-evaluations * lanes,
-// making the per-lane throughput comparable across widths.
-void run_lane_kernel(benchmark::State& state,
-                     std::uint64_t (*kernel)(int, const ScanCircuit&, int),
-                     int lane_bits) {
-  const ScanCircuit& circuit = mark1_experiment().synth.circuit;
-  constexpr int kReps = 8;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernel(lane_bits, circuit, kReps));
-  }
-  state.SetItemsProcessed(state.iterations() * kReps *
-                          static_cast<std::int64_t>(circuit.comb.num_gates()) *
-                          lane_bits);
-}
-
-void BM_LaneEvalSweep(benchmark::State& state) {
-  run_lane_kernel(state, detail::kernel_eval_sweep,
-                  static_cast<int>(state.range(0)));
-}
-void BM_LaneXMerge(benchmark::State& state) {
-  run_lane_kernel(state, detail::kernel_x_merge,
-                  static_cast<int>(state.range(0)));
-}
-void BM_LaneConeOverlay(benchmark::State& state) {
-  run_lane_kernel(state, detail::kernel_cone_overlay,
-                  static_cast<int>(state.range(0)));
-}
-
-void register_lane_benches() {
-  const int widest = max_supported_lane_bits();
-  for (int bits : {64, 256, 512}) {
-    if (bits > widest) break;
-    benchmark::RegisterBenchmark("BM_LaneEvalSweep", BM_LaneEvalSweep)
-        ->Arg(bits);
-    benchmark::RegisterBenchmark("BM_LaneXMerge", BM_LaneXMerge)->Arg(bits);
-    benchmark::RegisterBenchmark("BM_LaneConeOverlay", BM_LaneConeOverlay)
-        ->Arg(bits);
-  }
-}
-const bool lane_benches_registered = (register_lane_benches(), true);
 
 void BM_TautologyCheck(benchmark::State& state) {
   // The OR of all function covers of cse, a mixed non-trivial cover.

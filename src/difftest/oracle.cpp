@@ -72,15 +72,13 @@ class Reporter {
   std::map<std::string, std::size_t> per_category_;
 };
 
-EngineRun run_engine(const Workload& w, const std::string& label,
-                     bool event_driven, int threads, bool want_deltas) {
+EngineRun run_engine(const Workload& w, int threads) {
   EngineRun run;
-  run.label = label;
+  run.label = "event@" + std::to_string(threads);
   FaultSimOptions opt;
-  opt.event_driven = event_driven;
   opt.threads = threads;
 
-  const bool track = want_deltas && obs::metrics_enabled();
+  const bool track = obs::metrics_enabled();
   obs::MetricsSnapshot before;
   if (track) before = obs::snapshot_metrics();
   run.result = simulate_faults(w.circuit, w.tests, w.faults, opt);
@@ -307,34 +305,19 @@ std::string OracleReport::to_string() const {
   return os.str();
 }
 
-OracleReport run_oracle(const Workload& workload,
-                        const OracleOptions& options) {
+OracleReport run_oracle(const Workload& workload) {
   OracleReport out;
   Reporter report(&out.divergences);
 
-  // Engine matrix. The full-cone serial run is the comparison base: it is
-  // the seed implementation, the slowest and simplest path.
+  // The serial run is checked against the scalar reference, which shares
+  // no code with the engine; the parallel runs are checked against it.
   std::vector<EngineRun> runs;
-  runs.push_back(run_engine(workload, "fullcone@1", /*event_driven=*/false,
-                            /*threads=*/1, /*want_deltas=*/false));
-  for (int threads : options.event_thread_counts)
-    runs.push_back(run_engine(workload, "event@" + std::to_string(threads),
-                              /*event_driven=*/true, threads,
-                              options.check_obs_invariance));
-
-  for (std::size_t i = 1; i < runs.size(); ++i)
+  for (int threads : {1, 2, 8}) runs.push_back(run_engine(workload, threads));
+  check_good_trace(workload, report);
+  check_reference(workload, runs[0], report);
+  for (std::size_t i = 1; i < runs.size(); ++i) {
     compare_results(runs[0], runs[i], report);
-
-  // Thread-count invariance of the work counters across the event-driven
-  // runs (the first event run is the base; full-cone does different work by
-  // design, so it is excluded).
-  if (options.check_obs_invariance && runs.size() > 2)
-    for (std::size_t i = 2; i < runs.size(); ++i)
-      compare_counters(runs[1], runs[i], report);
-
-  if (options.check_reference) {
-    check_good_trace(workload, report);
-    check_reference(workload, runs[0], report);
+    compare_counters(runs[0], runs[i], report);
   }
 
   if (workload.check == CheckKind::kCompaction)

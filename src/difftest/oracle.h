@@ -7,22 +7,6 @@
 
 namespace fstg::difftest {
 
-/// Oracle configuration. The default engine matrix is the seed full-cone
-/// serial path plus the event-driven path at thread counts {1, 2, 8} —
-/// every engine/scheduling combination the library ships.
-struct OracleOptions {
-  std::vector<int> event_thread_counts = {1, 2, 8};
-  /// Also compare every engine against the independent scalar reference
-  /// simulator (reference_sim.h). Costs O(faults * tests) scalar sims.
-  bool check_reference = true;
-  /// Require the obs work counters (faults simulated, batches, cycle
-  /// classification, event-queue traffic) to be identical across the
-  /// event-driven runs at different thread counts: the engine partitions
-  /// identical per-fault work, so any delta is a scheduling-dependent
-  /// behavior leak.
-  bool check_obs_invariance = true;
-};
-
 struct OracleReport {
   /// Human-readable divergence descriptions; empty means every engine,
   /// the reference, and the work counters agree.
@@ -32,17 +16,20 @@ struct OracleReport {
   std::string to_string() const;
 };
 
-/// Run `workload` through the full engine matrix and cross-compare:
-///  - per-fault detection maps (detected_by, full vectors — not counts),
-///  - effective-test marks and detected totals,
-///  - fault-free batch responses (PO words, X masks, scan-out states)
-///    against the scalar reference, lane by lane,
-///  - thread-count invariance of the obs work counters.
+/// Run `workload` through the fault-simulation engine at 1, 2 and 8
+/// threads and cross-check:
+///  - the 1-thread run against the independent scalar reference simulator
+///    (reference_sim.h): per-fault detection maps (detected_by, full
+///    vectors — not counts), effective-test marks and detected totals;
+///  - the fault-free batch responses (PO words, X masks, scan-out states)
+///    against the reference, lane by lane;
+///  - the 2- and 8-thread runs against the 1-thread run, with the same
+///    result comparison;
+///  - thread-count invariance of the obs work counters across all three.
 /// For Workload::check == kCompaction, additionally runs static_compact
 /// and verifies per-fault coverage preservation. For kStaticRedundancy,
 /// additionally cross-checks the static implication engine's untestability
 /// and equivalence proofs against the exhaustive engine.
-OracleReport run_oracle(const Workload& workload,
-                        const OracleOptions& options = {});
+OracleReport run_oracle(const Workload& workload);
 
 }  // namespace fstg::difftest

@@ -11,10 +11,11 @@ namespace fstg::difftest {
 
 /// Independent scalar three-valued (0/1/X) reference simulator for the
 /// differential-testing oracle. It shares NO code with the word-parallel
-/// engines (sim/logic_sim, sim/scan_sim): one test at a time, one cycle at
+/// engine (sim/logic_sim, sim/scan_sim): one test at a time, one cycle at
 /// a time, one gate at a time, values as a small enum. Slow and obviously
-/// correct — its job is to catch the whole engine family diverging from
-/// the specification, which engine-vs-engine comparison cannot.
+/// correct — its job is to catch the engine diverging from the
+/// specification, which comparing the engine's runs with each other
+/// cannot.
 ///
 /// Semantics it pins down:
 ///  - pessimistic 0/1/X evaluation (controlling definite values win;

@@ -13,7 +13,7 @@ namespace fstg::difftest {
 
 /// What a replayed corpus case asserts.
 enum class CheckKind : std::uint8_t {
-  /// Cross-engine oracle: every fault-simulation engine configuration and
+  /// Oracle: the fault-simulation engine at every thread count it runs and
   /// the scalar reference must agree on detection bitmaps, effective-test
   /// marks, fault-free responses, and thread-invariant work counters.
   kOracle,

@@ -4,13 +4,13 @@
 #include <bit>
 #include <memory>
 #include <span>
+#include <utility>
 
 #include "base/error.h"
 #include "base/obs/metrics.h"
 #include "base/obs/telemetry.h"
+#include "base/obs/trace.h"
 #include "base/parallel/thread_pool.h"
-#include "fault/fault_sim_width.h"
-#include "fault/sim_width.h"
 #include "netlist/cones.h"
 #include "netlist/reach.h"
 
@@ -94,7 +94,7 @@ FaultSimResult simulate_faults(const ScanCircuit& circuit,
 
 namespace {
 
-/// Fold the engines' thread-confined tallies into the global registry: one
+/// Fold the simulators' thread-confined tallies into the global registry: one
 /// registry write per counter per run, so the hot loops carry only plain
 /// increments.
 void flush_sim_stats(const LogicSimStats& logic, const ScanSimStats& scan) {
@@ -135,6 +135,52 @@ int fault_site(const FaultSpec& f) {
   return 0;
 }
 
+/// Fault-level parallelism only pays off once a batch carries enough live
+/// faults to amortize the fork/join of one parallel region.
+constexpr std::size_t kMinParallelFaults = 64;
+
+/// A batch's excitation index is built across the worker slots only once
+/// it spans this many 64-cycle words; shorter batches sweep faster than a
+/// fork/join.
+constexpr std::size_t kMinParallelIndexWords = 8;
+
+/// Split the live-fault list (already in cone-sorted schedule order) into
+/// chunks of roughly equal summed work, snapping chunk boundaries to FFR
+/// cone boundaries (bounded: a chunk stops growing at 2x its target even
+/// mid-cone). Equal-*weight* chunks are the fix for the fixed-stripe
+/// granularity bug: cone sizes vary by 3 orders of magnitude, so
+/// equal-*count* stripes left some workers with all the big cones.
+std::vector<std::pair<std::size_t, std::size_t>> weight_chunks(
+    const std::vector<std::size_t>& alive,
+    const std::vector<int>& fault_cone, const std::vector<std::size_t>& weight,
+    int threads) {
+  std::size_t total = 0;
+  for (std::size_t f : alive) total += weight[f] + 1;
+  // ~4 chunks per worker gives the stealing deques slack to rebalance.
+  const std::size_t target = std::max<std::size_t>(
+      1, total / (static_cast<std::size_t>(threads) * 4));
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  std::size_t lo = 0;
+  std::size_t acc = 0;
+  for (std::size_t i = 0; i < alive.size(); ++i) {
+    acc += weight[alive[i]] + 1;
+    if (acc < target) continue;
+    // Snap the cut to the end of the current cone group, within 2x target.
+    std::size_t end = i + 1;
+    while (end < alive.size() && acc < 2 * target &&
+           fault_cone[alive[end]] == fault_cone[alive[i]]) {
+      acc += weight[alive[end]] + 1;
+      ++end;
+    }
+    chunks.emplace_back(lo, end);
+    lo = end;
+    acc = 0;
+    i = end - 1;
+  }
+  if (lo < alive.size()) chunks.emplace_back(lo, alive.size());
+  return chunks;
+}
+
 }  // namespace
 
 FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
@@ -150,39 +196,35 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
   static const obs::Counter c_runs = obs::counter("fault_sim.runs");
   static const obs::Counter c_batches_expected =
       obs::counter("fault_sim.batches_expected");
-  static const obs::Gauge g_lane_bits = obs::gauge("fault_sim.lane_bits");
+  static const obs::Counter c_batches = obs::counter("fault_sim.batches");
+  static const obs::Counter c_simulated =
+      obs::counter("fault_sim.faults_simulated");
+  static const obs::Counter c_dropped = obs::counter("fault_sim.faults_dropped");
+  static const obs::Counter c_chunks = obs::counter("fault_sim.chunks");
+  static const obs::Gauge g_alive = obs::gauge("fault_sim.faults_alive");
+  static const obs::Histogram h_batch_live =
+      obs::histogram("fault_sim.batch_live_faults");
+  static const obs::Histogram h_chunk_faults =
+      obs::histogram("fault_sim.chunk_faults");
+  static const obs::Histogram h_chunk_weight =
+      obs::histogram("fault_sim.chunk_weight");
   c_runs.inc();
   obs::StageScope run_scope("fault_sim.run",
                             std::to_string(faults.size()) + " faults / " +
                                 std::to_string(tests.tests.size()) + " tests");
 
-  const std::vector<ScanPattern> all_patterns = to_scan_patterns(tests);
+  const std::vector<ScanPattern> patterns = to_scan_patterns(tests);
   const std::vector<std::vector<int>> cones =
       options.reachability
           ? compute_fault_cones(circuit.comb, faults, *options.reachability)
           : compute_fault_cones(circuit.comb, faults);
-  const FaultyEval mode = options.event_driven ? FaultyEval::kEventDriven
-                                               : FaultyEval::kFullCone;
   const int threads = parallel::resolve_threads(options.threads);
-  // Auto width is mode-dependent: the event-driven path is fastest at 64
-  // lanes (skip granularity and candidate density both degrade with width
-  // — see docs/PERFORMANCE.md), while the levelized full-cone path
-  // vectorizes well and takes the widest supported width. An explicit
-  // lane_bits (option, --lane-bits, or set_default_lane_bits) wins; results
-  // are bit-identical at every width either way.
-  const int auto_bits =
-      options.event_driven && default_lane_bits_is_auto() ? 64 : 0;
-  const int lane_bits = resolve_lane_bits(
-      options.lane_bits > 0 ? options.lane_bits : auto_bits);
-  g_lane_bits.set(lane_bits);
-  // Scheduled batch count for the live-telemetry progress pair: the engine
-  // bumps fault_sim.batches as it goes, this is the denominator. Both are
-  // monotone counters, so a telemetry reader can never see progress move
-  // backwards; early exits (all faults dead, budget tripped) simply leave
-  // done < expected.
-  c_batches_expected.add(
-      (all_patterns.size() + static_cast<std::size_t>(lane_bits) - 1) /
-      static_cast<std::size_t>(lane_bits));
+  // Scheduled batch count for the live-telemetry progress pair: the batch
+  // loop bumps fault_sim.batches as it goes, this is the denominator. Both
+  // are monotone counters, so a telemetry reader can never see progress
+  // move backwards; early exits (all faults dead, budget tripped) simply
+  // leave done < expected.
+  c_batches_expected.add((patterns.size() + kWordBits - 1) / kWordBits);
 
   // Cone-sorted fault schedule: group faults whose sites share a
   // fanout-free cone so consecutive faults re-touch the same overlay
@@ -199,81 +241,120 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
       fault_cone[f] = part.cone_id[static_cast<std::size_t>(site)];
     weight[f] = cones[f].size();
   }
-  std::vector<std::size_t> schedule(faults.size());
-  for (std::size_t f = 0; f < faults.size(); ++f) schedule[f] = f;
-  std::stable_sort(schedule.begin(), schedule.end(),
+  std::vector<std::size_t> alive(faults.size());
+  for (std::size_t f = 0; f < faults.size(); ++f) alive[f] = f;
+  std::stable_sort(alive.begin(), alive.end(),
                    [&fault_cone](std::size_t a, std::size_t b) {
                      return fault_cone[a] < fault_cone[b];
                    });
 
+  // One simulator per worker slot; slot 0 (the caller) doubles as the
+  // good-trace simulator. The good trace itself is immutable and shared.
+  std::vector<std::unique_ptr<ScanBatchSim>> sims;
+  std::vector<ScanBatchSim*> slots;
+  sims.reserve(static_cast<std::size_t>(threads));
+  for (int s = 0; s < threads; ++s) {
+    sims.push_back(std::make_unique<ScanBatchSim>(circuit));
+    slots.push_back(sims.back().get());
+  }
+
+  std::vector<std::size_t> still_alive;
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  for (std::size_t base = 0; base < patterns.size() && !alive.empty();
+       base += kWordBits) {
+    const std::size_t count =
+        std::min<std::size_t>(kWordBits, patterns.size() - base);
+    const std::span<const ScanPattern> batch =
+        std::span<const ScanPattern>(patterns).subspan(base, count);
+    c_batches.inc();
+    c_simulated.add(alive.size());  // per-batch (fault, test-batch) evals
+    h_batch_live.observe(alive.size());
+    GoodTrace good;
+    {
+      obs::Span span("fault_sim.good_trace");
+      good = sims[0]->run_good(batch);
+    }
+    // One excitation/observability index per batch, shared read-only by
+    // every worker; its words split across the slots (same index for any
+    // split).
+    {
+      obs::Span span("fault_sim.excitation_index");
+      const std::size_t words = (good.active.size() + 63) / 64;
+      ScanBatchSim::build_excitation_index(
+          good, std::span<ScanBatchSim* const>(slots).first(
+                    words >= kMinParallelIndexWords ? slots.size() : 1));
+    }
+
+    // Each live fault is simulated independently against the shared good
+    // trace; detected_by writes are disjoint per fault, so workers need no
+    // synchronization beyond the guard. A tripped guard cancels every
+    // worker cooperatively (tick turns false on all threads); faults it
+    // skips simply stay undetected in the partial result.
+    const auto simulate_range = [&](int slot, std::size_t lo, std::size_t hi) {
+      ScanBatchSim& sim = *sims[static_cast<std::size_t>(slot)];
+      for (std::size_t i = lo; i < hi; ++i) {
+        if (!guard.tick(count)) return;
+        const std::size_t f = alive[i];
+        const Word det = sim.run_faulty(batch, good, faults[f], &cones[f]);
+        if (det != 0) {
+          result.detected_by[f] = static_cast<int>(
+              base + static_cast<std::size_t>(std::countr_zero(det)));
+        }
+      }
+    };
+    if (threads > 1 && alive.size() >= kMinParallelFaults) {
+      chunks = weight_chunks(alive, fault_cone, weight, threads);
+      c_chunks.add(chunks.size());
+      for (const auto& [lo, hi] : chunks) {
+        h_chunk_faults.observe(hi - lo);
+        std::size_t w = 0;
+        for (std::size_t i = lo; i < hi; ++i) w += weight[alive[i]] + 1;
+        h_chunk_weight.observe(w);
+      }
+      parallel::parallel_for(
+          chunks.size(), 1, threads,
+          [&](int slot, std::size_t clo, std::size_t chi) {
+            for (std::size_t c = clo; c < chi; ++c)
+              simulate_range(slot, chunks[c].first, chunks[c].second);
+          });
+    } else {
+      simulate_range(0, 0, alive.size());
+    }
+
+    // Deterministic reduction: per-fault marks are disjoint and the
+    // effectiveness/coverage aggregates are order-independent unions, so
+    // the result is bit-identical for any thread count, chunking and
+    // schedule permutation.
+    still_alive.clear();
+    still_alive.reserve(alive.size());
+    for (std::size_t f : alive) {
+      const int t = result.detected_by[f];
+      if (t >= 0) {
+        result.test_effective[static_cast<std::size_t>(t)] = true;
+        ++result.detected_faults;
+      } else {
+        still_alive.push_back(f);
+      }
+    }
+    c_dropped.add(alive.size() - still_alive.size());
+    alive.swap(still_alive);
+    g_alive.set(static_cast<std::int64_t>(alive.size()));
+
+    if (guard.exhausted()) {
+      // Partial result: detections so far stand; the rest is unknown.
+      result.complete = false;
+      break;
+    }
+  }
+
   LogicSimStats logic_stats;
   ScanSimStats scan_stats;
-  detail::FaultSimEngineContext ctx{circuit,
-                                    std::span<const ScanPattern>(all_patterns),
-                                    faults,
-                                    cones,
-                                    schedule,
-                                    fault_cone,
-                                    weight,
-                                    mode,
-                                    threads,
-                                    guard,
-                                    result,
-                                    logic_stats,
-                                    scan_stats};
-  switch (lane_bits) {
-    case 512:
-      detail::run_engine_w512(ctx);
-      break;
-    case 256:
-      detail::run_engine_w256(ctx);
-      break;
-    default:
-      detail::run_engine_w64(ctx);
-      break;
+  for (const auto& sim : sims) {
+    logic_stats += sim->sim_stats();
+    scan_stats += sim->stats();
   }
   flush_sim_stats(logic_stats, scan_stats);
   return result;
 }
-
-namespace detail {
-
-std::uint64_t kernel_eval_sweep(int lane_bits, const ScanCircuit& circuit,
-                                int reps) {
-  switch (resolve_lane_bits(lane_bits)) {
-    case 512:
-      return kernel_eval_sweep_w512(circuit, reps);
-    case 256:
-      return kernel_eval_sweep_w256(circuit, reps);
-    default:
-      return kernel_eval_sweep_w64(circuit, reps);
-  }
-}
-
-std::uint64_t kernel_x_merge(int lane_bits, const ScanCircuit& circuit,
-                             int reps) {
-  switch (resolve_lane_bits(lane_bits)) {
-    case 512:
-      return kernel_x_merge_w512(circuit, reps);
-    case 256:
-      return kernel_x_merge_w256(circuit, reps);
-    default:
-      return kernel_x_merge_w64(circuit, reps);
-  }
-}
-
-std::uint64_t kernel_cone_overlay(int lane_bits, const ScanCircuit& circuit,
-                                  int reps) {
-  switch (resolve_lane_bits(lane_bits)) {
-    case 512:
-      return kernel_cone_overlay_w512(circuit, reps);
-    case 256:
-      return kernel_cone_overlay_w256(circuit, reps);
-    default:
-      return kernel_cone_overlay_w64(circuit, reps);
-  }
-}
-
-}  // namespace detail
 
 }  // namespace fstg

@@ -37,9 +37,8 @@ struct FaultSimResult {
   }
 };
 
-/// Tuning knobs of the fault-simulation engine. The defaults give the fast
-/// configuration: event-driven faulty evaluation, fault-level parallelism at
-/// the process-wide default thread count.
+/// Tuning knobs of the fault-simulation engine. The default runs
+/// fault-level parallelism at the process-wide default thread count.
 struct FaultSimOptions {
   /// Worker count for fault-level parallelism within each 64-test batch:
   /// negative = parallel::default_threads() (hardware concurrency unless
@@ -48,16 +47,6 @@ struct FaultSimOptions {
   /// detection word depends only on the shared immutable good trace, and
   /// detections are reduced on the caller in fault order.
   int threads = -1;
-  /// Pattern lanes simulated per pass: 64 (portable), 256 (AVX2) or 512
-  /// (AVX-512); <= 0 means default_lane_bits() (the widest width this
-  /// build supports on this CPU unless overridden, e.g. by the CLI's
-  /// --lane-bits). Requests wider than the machine supports are clamped
-  /// down. Results are bit-identical at every width: a wider batch only
-  /// moves block boundaries, each test keeps its global index.
-  int lane_bits = 0;
-  /// Event-driven overlay evaluation (default) vs. the legacy full-cone
-  /// re-evaluation (kept as the measured baseline; see fstg_bench).
-  bool event_driven = true;
   /// Optional precomputed forward_reachability(circuit.comb) matrix.
   /// Callers simulating several fault sets over the same netlist (stuck-at
   /// then bridging, as in Table 6) compute it once and pass it here; null
@@ -67,11 +56,12 @@ struct FaultSimOptions {
 
 /// Word-parallel scan fault simulation with fault dropping: tests run 64
 /// per batch (one lane each); each still-undetected fault is injected and
-/// the faulty machine compared against the fault-free reference on every
-/// observed primary output and on the scanned-out state. Detection is
-/// attributed to the lowest-index detecting test, so effectiveness marks
-/// match the paper's sequential-simulation semantics exactly — for any
-/// thread count (see FaultSimOptions::threads).
+/// the faulty machine, evaluated event-driven against the batch's
+/// fault-free trace, compared with it on every observed primary output and
+/// on the scanned-out state. Detection is attributed to the lowest-index
+/// detecting test, so effectiveness marks match the paper's
+/// sequential-simulation semantics exactly — for any thread count (see
+/// FaultSimOptions::threads).
 FaultSimResult simulate_faults(const ScanCircuit& circuit,
                                const TestSet& tests,
                                const std::vector<FaultSpec>& faults,

@@ -1,60 +1,12 @@
 #include "fault/sim_width.h"
 
-#include <algorithm>
-#include <atomic>
-
-#include "base/error.h"
-
-// FSTG_HAVE_LANES_256 / FSTG_HAVE_LANES_512 are defined by CMake when the
-// corresponding engine TU is in the build (compiler accepted -mavx2 /
-// -mavx512*); runtime feature bits gate the actual dispatch below.
+#include "sim/pattern_vec.h"
 
 namespace fstg {
 
-namespace {
+int default_lane_bits() { return kWordBits; }
 
-#if defined(__x86_64__) || defined(__i386__)
-bool cpu_has_avx2() { return __builtin_cpu_supports("avx2") != 0; }
-bool cpu_has_avx512() {
-  return __builtin_cpu_supports("avx512f") != 0 &&
-         __builtin_cpu_supports("avx512bw") != 0;
-}
-#else
-bool cpu_has_avx2() { return false; }
-bool cpu_has_avx512() { return false; }
-#endif
-
-std::atomic<int> g_default_lane_bits{0};  // 0 = not yet resolved
-
-}  // namespace
-
-int max_supported_lane_bits() {
-#if defined(FSTG_HAVE_LANES_512)
-  if (cpu_has_avx512()) return 512;
-#endif
-#if defined(FSTG_HAVE_LANES_256)
-  if (cpu_has_avx2()) return 256;
-#endif
-  return 64;
-}
-
-int resolve_lane_bits(int requested) {
-  if (requested <= 0) return default_lane_bits();
-  require(requested == 64 || requested == 256 || requested == 512,
-          "lane width must be 64, 256 or 512");
-  return std::min(requested, max_supported_lane_bits());
-}
-
-void set_default_lane_bits(int bits) {
-  g_default_lane_bits.store(bits <= 0 ? 0 : resolve_lane_bits(bits));
-}
-
-int default_lane_bits() {
-  const int bits = g_default_lane_bits.load();
-  return bits <= 0 ? max_supported_lane_bits() : bits;
-}
-
-bool default_lane_bits_is_auto() { return g_default_lane_bits.load() <= 0; }
+bool default_lane_bits_is_auto() { return true; }
 
 std::string cpu_features() {
   std::string s;
@@ -64,7 +16,7 @@ std::string cpu_features() {
   };
 #if defined(__x86_64__) || defined(__i386__)
   if (__builtin_cpu_supports("sse4.2")) add("sse4.2");
-  if (cpu_has_avx2()) add("avx2");
+  if (__builtin_cpu_supports("avx2")) add("avx2");
   if (__builtin_cpu_supports("avx512f")) add("avx512f");
   if (__builtin_cpu_supports("avx512bw")) add("avx512bw");
 #endif

@@ -4,32 +4,11 @@
 
 namespace fstg {
 
-/// Runtime lane-width selection for the word-parallel fault-simulation
-/// engines. Widths are in pattern lanes per pass: 64 (portable uint64_t),
-/// 256 (PatternVec<4>, compiled AVX2) and 512 (PatternVec<8>, compiled
-/// AVX-512). A width is *supported* when the engine TU for it was built
-/// (the compiler accepted the ISA flags) AND the running CPU reports the
-/// matching feature bits — so a binary built on an AVX-512 box dispatches
-/// down gracefully on an older machine.
-
-/// Widest lane width this build can run on this CPU: 512, 256 or 64.
-int max_supported_lane_bits();
-
-/// Resolve a requested lane width: <= 0 means default_lane_bits(); any
-/// other value must be 64, 256 or 512 (error otherwise) and is clamped
-/// down to the widest supported width <= the request.
-int resolve_lane_bits(int requested);
-
-/// Process-wide default lane width used when a caller does not request an
-/// explicit width (mirrors parallel::set_default_threads; the CLI's
-/// --lane-bits flag sets it). Starts at max_supported_lane_bits().
-void set_default_lane_bits(int bits);
+/// Lane width of the fault-simulation engine, for perf records. The engine
+/// simulates 64 pattern lanes per pass (one Word, sim/pattern_vec.h), so
+/// this is always 64.
 int default_lane_bits();
-/// True while no explicit process-wide default is set (auto). The fault
-/// simulator uses this to pick a mode-dependent auto width: 64 lanes for
-/// the event-driven path (measurably fastest — skip granularity and
-/// excitation-candidate density both degrade with width), the widest
-/// supported width for the levelized full-cone path.
+/// True: the width is not configurable, so it is never an explicit choice.
 bool default_lane_bits_is_auto();
 
 /// Comma-separated CPU SIMD feature summary for perf records

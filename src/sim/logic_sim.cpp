@@ -2,9 +2,7 @@
 
 namespace fstg {
 
-// The portable 64-bit instantiation every non-SIMD caller links against.
-// Wider widths (PatternVec<4>/PatternVec<8>) are instantiated only in the
-// per-width fault-sim engine TUs, which carry the matching ISA flags.
+// The 64-lane instantiation every caller links against.
 template class LogicSimT<Word>;
 
 }  // namespace fstg

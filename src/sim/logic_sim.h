@@ -48,8 +48,7 @@ struct FaultSpec {
 /// the hot loop); the fault-simulation engine flushes them into the obs
 /// metrics registry once per run (counters sim.event_pushes /
 /// sim.event_pops / sim.overlay_calls / sim.overlay_unexcited /
-/// sim.overlay_gates_changed). Width-independent so the fault-sim driver
-/// can merge tallies across engines of different lane widths.
+/// sim.overlay_gates_changed).
 struct LogicSimStats {
   std::uint64_t overlay_calls = 0;      ///< run_cone_overlay invocations
   std::uint64_t overlay_unexcited = 0;  ///< calls that returned 0
@@ -94,11 +93,6 @@ inline std::pair<V, V> wired3(bool or_type, const V& v1, const V& x1,
 /// topological storage order makes evaluation a single linear sweep;
 /// bridging faults take a second partial sweep (see run2/run3 for why this
 /// is exact for non-feedback bridges).
-///
-/// The lane type `V` is either plain Word (the portable 64-pattern path) or
-/// PatternVec<4>/PatternVec<8> (256/512 patterns per pass, compiled into
-/// AVX2/AVX-512 code in the dedicated engine translation units — see
-/// pattern_vec.h for the ISA discipline).
 ///
 /// --- Three-valued (0/1/X) lanes -------------------------------------------
 ///
@@ -169,9 +163,6 @@ class LogicSimT {
   /// Overwrite all gate values (used to seed a known-good evaluation
   /// before a cone-restricted faulty re-evaluation).
   void seed_values(const std::vector<V>& values) { values_ = values; }
-  /// Seed the X plane alongside seed_values; pass nullptr for an all-defined
-  /// trace (cheap: only zeroes the plane if a previous run dirtied it).
-  void seed_xvals(const std::vector<V>* x);
 
   /// Re-evaluate only the gates in `cone` (sorted ascending; the fault
   /// site's transitive fanout) on top of seeded values. All other gates —
@@ -430,11 +421,7 @@ class LogicSimT {
     overlay_stamp_[static_cast<std::size_t>(gate)] = overlay_epoch_;
   }
   void overlay_prepare();
-  /// Hand-rolled binary min-heap on gate id over heap_. Member functions
-  /// (not std::push_heap/pop_heap) so the emitted symbols are distinct per
-  /// lane width V — the per-width engine TUs are compiled with different
-  /// ISA flags, and width-independent COMDATs would be merged across them
-  /// by the linker (see pattern_vec.h for the discipline).
+  /// Hand-rolled binary min-heap on gate id over heap_.
   void heap_push(int id) {
     heap_.push_back(id);
     std::size_t i = heap_.size() - 1;
@@ -502,8 +489,8 @@ class LogicSimT {
 };
 
 // ---------------------------------------------------------------------------
-// Member definitions (template: included by every width's translation unit;
-// explicitly instantiated for Word in logic_sim.cpp).
+// Member definitions (template: explicitly instantiated for Word in
+// logic_sim.cpp).
 // ---------------------------------------------------------------------------
 
 template <class V>
@@ -549,19 +536,6 @@ bool LogicSimT<V>::inputs_have_x() {
   for (const V& w : input_x_) any |= w;
   if (Lanes::none(any)) input_x_set_ = false;  // flag was conservative
   return Lanes::any(any);
-}
-
-template <class V>
-void LogicSimT<V>::seed_xvals(const std::vector<V>* x) {
-  if (x == nullptr || x->empty()) {
-    if (!x_clean_) {
-      std::fill(xvals_.begin(), xvals_.end(), Lanes::zero());
-      x_clean_ = true;
-    }
-    return;
-  }
-  xvals_ = *x;
-  x_clean_ = false;
 }
 
 template <class V>
@@ -1020,9 +994,8 @@ void LogicSimT<V>::run3(const FaultSpec& fault) {
   }
 }
 
-/// The portable 64-pattern simulator every existing caller uses; explicitly
-/// instantiated (portably compiled) in logic_sim.cpp. Wider instantiations
-/// live only in the per-width fault-sim engine TUs.
+/// The 64-pattern simulator every caller uses; explicitly instantiated in
+/// logic_sim.cpp.
 using LogicSim = LogicSimT<Word>;
 extern template class LogicSimT<Word>;
 

@@ -5,63 +5,13 @@
 
 namespace fstg {
 
-/// One 64-pattern lane word — the portable simulation width and the unit
-/// every wider vector is built from.
+/// One 64-pattern lane word: the simulation width of every word-parallel
+/// simulator (one pattern per bit).
 using Word = std::uint64_t;
 inline constexpr int kWordBits = 64;
 
-/// A compile-time-width bundle of lane words: 64 patterns per component
-/// word, evaluated with plain per-component loops that the compiler turns
-/// into AVX2 (NW = 4) or AVX-512 (NW = 8) vector instructions when the
-/// translation unit is built with the matching -m flags.
-///
-/// ISA discipline: PatternVec<NW> (NW > 1) must only be *instantiated* in
-/// the per-width engine translation units (src/fault/fault_sim_w*.cpp),
-/// which are the only TUs compiled with wider-than-baseline ISA flags.
-/// Everything else goes through the runtime-dispatched entry points in
-/// fault_sim.h, so no AVX code can leak into portably-compiled objects.
-template <int NW>
-struct PatternVec {
-  static_assert(NW >= 2, "use plain Word for the 64-bit lane width");
-  Word w[NW];
-
-  static constexpr int kBits = NW * kWordBits;
-
-  friend PatternVec operator&(PatternVec a, const PatternVec& b) {
-    for (int i = 0; i < NW; ++i) a.w[i] &= b.w[i];
-    return a;
-  }
-  friend PatternVec operator|(PatternVec a, const PatternVec& b) {
-    for (int i = 0; i < NW; ++i) a.w[i] |= b.w[i];
-    return a;
-  }
-  friend PatternVec operator^(PatternVec a, const PatternVec& b) {
-    for (int i = 0; i < NW; ++i) a.w[i] ^= b.w[i];
-    return a;
-  }
-  friend PatternVec operator~(PatternVec a) {
-    for (int i = 0; i < NW; ++i) a.w[i] = ~a.w[i];
-    return a;
-  }
-  PatternVec& operator&=(const PatternVec& o) {
-    for (int i = 0; i < NW; ++i) w[i] &= o.w[i];
-    return *this;
-  }
-  PatternVec& operator|=(const PatternVec& o) {
-    for (int i = 0; i < NW; ++i) w[i] |= o.w[i];
-    return *this;
-  }
-  PatternVec& operator^=(const PatternVec& o) {
-    for (int i = 0; i < NW; ++i) w[i] ^= o.w[i];
-    return *this;
-  }
-  friend bool operator==(const PatternVec&, const PatternVec&) = default;
-};
-
-/// Uniform lane operations over Word and PatternVec<NW>, so the simulator
-/// templates read identically at every width. All members are branch-light
-/// and inline; the Word specialization compiles to the exact instructions
-/// the pre-SIMD simulator used.
+/// Lane operations over a lane word, so the simulator templates name the
+/// lane type once. All members are branch-light and inline.
 template <class V>
 struct LaneOps;
 
@@ -91,64 +41,6 @@ struct LaneOps<Word> {
   static Word below_lowest(Word v) {
     if (v == 0) return ~Word{0};
     return (v & (~v + 1)) - 1;
-  }
-};
-
-template <int NW>
-struct LaneOps<PatternVec<NW>> {
-  using V = PatternVec<NW>;
-  static constexpr int kBits = V::kBits;
-  static constexpr int kWords = NW;
-
-  static V zero() {
-    V v{};
-    return v;
-  }
-  static V ones() {
-    V v;
-    for (int i = 0; i < NW; ++i) v.w[i] = ~Word{0};
-    return v;
-  }
-  static bool any(const V& v) {
-    Word acc = 0;
-    for (int i = 0; i < NW; ++i) acc |= v.w[i];
-    return acc != 0;
-  }
-  static bool none(const V& v) { return !any(v); }
-  static bool test(const V& v, int lane) {
-    return (v.w[lane / kWordBits] >> (lane % kWordBits)) & 1u;
-  }
-  static void set(V& v, int lane) {
-    v.w[lane / kWordBits] |= Word{1} << (lane % kWordBits);
-  }
-  static Word word(const V& v, int i) { return v.w[i]; }
-  static V low_mask(int n) {
-    V v{};
-    for (int i = 0; i < NW && n > 0; ++i, n -= kWordBits)
-      v.w[i] = n >= kWordBits ? ~Word{0} : (Word{1} << n) - 1;
-    return v;
-  }
-  static int first_lane(const V& v) {
-    for (int i = 0; i < NW; ++i)
-      if (v.w[i] != 0) return i * kWordBits + std::countr_zero(v.w[i]);
-    return kBits;  // unreachable for nonzero v
-  }
-  static int popcount(const V& v) {
-    int n = 0;
-    for (int i = 0; i < NW; ++i) n += std::popcount(v.w[i]);
-    return n;
-  }
-  static V below_lowest(const V& v) {
-    V out;
-    for (int i = 0; i < NW; ++i) {
-      if (v.w[i] != 0) {
-        out.w[i] = (v.w[i] & (~v.w[i] + 1)) - 1;
-        for (int j = i + 1; j < NW; ++j) out.w[j] = 0;
-        return out;
-      }
-      out.w[i] = ~Word{0};
-    }
-    return out;  // no lane set: all lanes
   }
 };
 

@@ -2,8 +2,7 @@
 
 namespace fstg {
 
-// Portable 64-bit instantiation; wider widths are instantiated only in the
-// per-width fault-sim engine TUs (see pattern_vec.h for the ISA discipline).
+// The 64-lane instantiation every caller links against.
 template class ScanBatchSimT<Word>;
 
 }  // namespace fstg

@@ -41,7 +41,7 @@ struct ScanPattern {
 struct ScanSimStats {
   std::uint64_t cycles_skipped = 0;     ///< unexcited cycles skipped whole
   std::uint64_t cycles_overlay = 0;     ///< cycles evaluated event-driven
-  std::uint64_t cycles_full = 0;        ///< full-cone or diverged cycles
+  std::uint64_t cycles_full = 0;        ///< diverged-state (full) cycles
   std::uint64_t dirty_activations = 0;  ///< lanes turning dirty
   std::uint64_t dirty_clears = 0;       ///< dirty lanes reconverging
 
@@ -99,10 +99,9 @@ struct GoodTraceT {
   /// --- Excitation/observability index (event-driven fast path) ------------
   ///
   /// Per-gate bitsets over cycles, bit c of word c/64, built once per batch
-  /// by ScanBatchSimT::build_excitation_index — only for event-driven runs,
-  /// so the full-cone baseline (serial_seed) pays nothing — and shared
-  /// read-only by all workers. run_faulty jumps straight between candidate
-  /// cycles instead of testing excitation cycle by cycle.
+  /// by ScanBatchSimT::build_excitation_index and shared read-only by all
+  /// workers. run_faulty jumps straight between candidate cycles instead of
+  /// testing excitation cycle by cycle.
   ///
   /// Every bit speaks about *active* lanes only (`active[c]`): a lane whose
   /// test has ended keeps its last state for the rest of the batch, but it
@@ -150,18 +149,6 @@ struct GoodTraceT {
   }
 };
 
-/// How run_faulty evaluates cycles whose faulty state still matches the
-/// fault-free state (the dominant case).
-enum class FaultyEval : std::uint8_t {
-  /// Event-driven overlay: no copying of good values; only gates whose
-  /// fanins changed are re-evaluated; unexcited cycles are skipped whole.
-  kEventDriven,
-  /// Legacy full-cone path: copy the good gate values into the simulator
-  /// and re-evaluate the entire cone. Kept as the benchmark baseline (the
-  /// "serial seed" configuration in fstg_bench) and as a cross-check.
-  kFullCone,
-};
-
 /// Applies batches of scan patterns to a full-scan circuit, fault-free or
 /// with one injected fault. Each lane tracks its own (possibly faulty)
 /// state feedback, exactly as the physical scan test would.
@@ -196,16 +183,18 @@ class ScanBatchSimT {
   /// once a lane detects, only lower lanes (earlier tests) are tracked.
   /// If `cone` is given (the fault site's transitive fanout, ascending),
   /// cycles where the faulty state still matches the fault-free state are
-  /// evaluated per `mode` (event-driven by default).
+  /// evaluated event-driven against the good trace: no copying of good
+  /// values, only gates whose fanins changed are re-evaluated, and
+  /// unexcited cycles are skipped whole. Without a cone every cycle is a
+  /// full faulty evaluation.
   V run_faulty(std::span<const ScanPattern> batch, const GoodTraceT<V>& good,
-               const FaultSpec& fault, const std::vector<int>* cone = nullptr,
-               FaultyEval mode = FaultyEval::kEventDriven);
+               const FaultSpec& fault, const std::vector<int>* cone = nullptr);
 
   /// Build the excitation/observability index on `good` (one backward
   /// sensitivity sweep per cycle over the netlist — roughly the cost of one
-  /// extra good simulation per batch). The engine calls this once per batch
-  /// for event-driven runs; the index is then shared read-only by every
-  /// worker's run_faulty.
+  /// extra good simulation per batch). The engine calls this once per
+  /// batch; the index is then shared read-only by every worker's
+  /// run_faulty.
   ///
   /// No cycle's sweep depends on another's, so the index's 64-cycle words
   /// are split across one parallel_for slot per simulator in `slots` (all
@@ -245,8 +234,7 @@ class ScanBatchSimT {
   const std::uint64_t* candidate_bits(const GoodTraceT<V>& good,
                                       const FaultSpec& fault);
   /// Index of the first set bit >= `from` in a bitset of `nwords` words
-  /// (64*nwords if none). Member function, not a free inline, for the same
-  /// per-width symbol discipline as LogicSimT's heap helpers.
+  /// (64*nwords if none).
   static std::size_t next_set_bit(const std::uint64_t* words,
                                   std::size_t nwords, std::size_t from) {
     std::size_t w = from >> 6;
@@ -278,8 +266,8 @@ class ScanBatchSimT {
 };
 
 // ---------------------------------------------------------------------------
-// Member definitions (template: included by every width's translation unit;
-// explicitly instantiated for Word in scan_sim.cpp).
+// Member definitions (template: explicitly instantiated for Word in
+// scan_sim.cpp).
 // ---------------------------------------------------------------------------
 
 template <class V>
@@ -645,7 +633,7 @@ template <class V>
 V ScanBatchSimT<V>::run_faulty(std::span<const ScanPattern> batch,
                                const GoodTraceT<V>& good,
                                const FaultSpec& fault,
-                               const std::vector<int>* cone, FaultyEval mode) {
+                               const std::vector<int>* cone) {
   require(static_cast<int>(batch.size()) == good.num_lanes,
           "batch/trace size mismatch");
   const V all_lanes = Lanes::low_mask(static_cast<int>(batch.size()));
@@ -673,10 +661,8 @@ V ScanBatchSimT<V>::run_faulty(std::span<const ScanPattern> batch,
   // set bit to set bit instead of testing excitation cycle by cycle. A
   // diverged lane evolves state every cycle, so jumping pauses while
   // `dirty` is nonzero and resumes when the lanes reconverge.
-  const std::uint64_t* cand = (cone != nullptr &&
-                               mode == FaultyEval::kEventDriven)
-                                  ? candidate_bits(good, fault)
-                                  : nullptr;
+  const std::uint64_t* cand =
+      cone != nullptr ? candidate_bits(good, fault) : nullptr;
 
   // Only outputs inside the fault's cone — or that are fault sites
   // themselves (compute_fault_cones removes a bridge's two lines from its
@@ -684,7 +670,7 @@ V ScanBatchSimT<V>::run_faulty(std::span<const ScanPattern> batch,
   // per-cycle PO/next-state scans probe just those.
   scratch_po_cone_.clear();
   scratch_sv_cone_.clear();
-  if (cone != nullptr && mode == FaultyEval::kEventDriven) {
+  if (cone != nullptr) {
     const int site = fault.gate;
     const int site2 =
         fault.kind == FaultSpec::Kind::kBridge ? fault.gate2_or_pin : -1;
@@ -723,8 +709,7 @@ V ScanBatchSimT<V>::run_faulty(std::span<const ScanPattern> batch,
     const V* base_x = good.gate_x_of(c);
     const bool cx = base_x != nullptr;
 
-    if (Lanes::none(dirty & active) && cone != nullptr &&
-        mode == FaultyEval::kEventDriven) {
+    if (Lanes::none(dirty & active) && cone != nullptr) {
       // Every tracked lane is in the fault-free state: evaluate against the
       // good trace through the event-driven overlay (no copying). An
       // unexcited cycle (the ~97% case) is decided by the seeding predicate
@@ -771,8 +756,9 @@ V ScanBatchSimT<V>::run_faulty(std::span<const ScanPattern> batch,
       continue;
     }
 
-    // Legacy full-cone path and the diverged path both need the full state
-    // vector: materialize clean lanes from the good trace first.
+    // A diverged (or cone-less) cycle evaluates the whole faulty machine
+    // from the full state vector: materialize clean lanes from the good
+    // trace first.
     for_each_lane(all_lanes & ~dirty, [&](int li) {
       const std::size_t l = static_cast<std::size_t>(li);
       state[l] = good.state_at[c][l];
@@ -780,15 +766,8 @@ V ScanBatchSimT<V>::run_faulty(std::span<const ScanPattern> batch,
     });
 
     ++stats_.cycles_full;
-    if (Lanes::none(dirty & active) &&
-        cone != nullptr) {  // FaultyEval::kFullCone
-      sim_.seed_values(good.gate_values[c]);
-      sim_.seed_xvals(cx ? &good.gate_x[c] : nullptr);
-      sim_.run_cone(fault, *cone);
-    } else {
-      load_cycle(batch, state, state_x, c);
-      sim_.run(fault);
-    }
+    load_cycle(batch, state, state_x, c);
+    sim_.run(fault);
     for (int k = 0; k < num_po; ++k) {
       V diff = sim_.output(k) ^ good.po[c][static_cast<std::size_t>(k)];
       // Detection requires both responses defined; X on either side masks
@@ -842,9 +821,8 @@ V ScanBatchSimT<V>::run_faulty(std::span<const ScanPattern> batch,
   return detected;
 }
 
-/// The portable 64-pattern scan simulator every existing caller uses;
-/// explicitly instantiated in scan_sim.cpp. Wider instantiations live only
-/// in the per-width fault-sim engine TUs.
+/// The 64-pattern scan simulator every caller uses; explicitly
+/// instantiated in scan_sim.cpp.
 using GoodTrace = GoodTraceT<Word>;
 using ScanBatchSim = ScanBatchSimT<Word>;
 extern template class ScanBatchSimT<Word>;

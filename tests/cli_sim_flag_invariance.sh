@@ -1,8 +1,7 @@
 #!/bin/sh
 # Optimization flags never change a reported number: the stuck-at and
 # bridging lines of `fstg sim` must be byte-identical with and without
-# each of --threads, --lane-bits, --static-prune and --cache-dir (cold,
-# then warm).
+# each of --threads, --static-prune and --cache-dir (cold, then warm).
 #
 #   usage: cli_sim_flag_invariance.sh FSTG WORKDIR
 set -eu
@@ -23,9 +22,8 @@ for c in lion dk17 cse; do
   "$fstg" gen "$c" -o "$dir/$c.tests" 2>/dev/null
   report "$c" > "$dir/$c.ref"
   test "$(wc -l < "$dir/$c.ref")" -eq 2
-  for flags in "--threads 0" "--threads 1" "--threads 8" "--lane-bits 64" \
-               "--lane-bits 512" "--static-prune" "--cache-dir $dir/cache" \
-               "--cache-dir $dir/cache"; do
+  for flags in "--threads 0" "--threads 1" "--threads 8" "--static-prune" \
+               "--cache-dir $dir/cache" "--cache-dir $dir/cache"; do
     # shellcheck disable=SC2086  # flags is a word list on purpose
     report "$c" $flags > "$dir/$c.out"
     if ! cmp -s "$dir/$c.ref" "$dir/$c.out"; then

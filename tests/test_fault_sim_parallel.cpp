@@ -1,7 +1,8 @@
 // Determinism lane for the parallel, event-driven fault-simulation engine:
-// bit-identical results across thread counts and evaluation modes, the
-// same excitation index for any number of slots building it, and
-// well-formed partial results when a shared budget guard trips mid-region.
+// bit-identical results across thread counts, agreement with the scalar
+// reference simulator, the same excitation index for any number of slots
+// building it, and well-formed partial results when a shared budget guard
+// trips mid-region.
 // Runs under the tsan preset (`ctest --preset determinism`).
 
 #include "fault/fault_sim.h"
@@ -14,6 +15,8 @@
 #include "base/parallel/thread_pool.h"
 #include "base/rng.h"
 #include "base/robust/budget.h"
+#include "difftest/oracle.h"
+#include "difftest/workload.h"
 #include "fault/bridging.h"
 #include "fault/fault.h"
 #include "harness/experiment.h"
@@ -88,26 +91,24 @@ TEST(FaultSimParallel, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(FaultSimParallel, EventDrivenMatchesFullCone) {
+TEST(FaultSimParallel, EventDrivenMatchesReference) {
   CircuitExperiment exp = run_circuit("dk17");
-  const ScanCircuit& circuit = exp.synth.circuit;
-  const std::vector<FaultSpec> faults = all_faults(circuit);
-
-  FaultSimOptions event;
-  event.threads = 2;
-  event.event_driven = true;
-  FaultSimOptions full;
-  full.threads = 2;
-  full.event_driven = false;
-  expect_same_result(simulate_faults(circuit, exp.gen.tests, faults, event),
-                     simulate_faults(circuit, exp.gen.tests, faults, full));
-  // One long test and 63 short ones: the index build forks, and only the
-  // one active lane may make a tail cycle a candidate.
+  difftest::Workload w;
+  w.name = "dk17";
+  w.circuit = exp.synth.circuit;
+  w.faults = all_faults(w.circuit);
+  w.tests = exp.gen.tests;
+  difftest::OracleReport report = difftest::run_oracle(w);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  // One long test and 63 short ones: the index build forks (576 cycles are
+  // 9 words, two 8-word chunks), and only the one active lane may make a
+  // tail cycle a candidate. Short enough for the scalar reference under
+  // TSan.
   for (const bool with_x : {false, true}) {
     SCOPED_TRACE(with_x ? "X-bearing" : "two-valued");
-    const TestSet shaped = long_and_short_tests(circuit, 1500, with_x);
-    expect_same_result(simulate_faults(circuit, shaped, faults, event),
-                       simulate_faults(circuit, shaped, faults, full));
+    w.tests = long_and_short_tests(w.circuit, 576, with_x);
+    report = difftest::run_oracle(w);
+    EXPECT_TRUE(report.ok()) << report.to_string();
   }
 }
 

@@ -46,7 +46,6 @@
 #include "base/store/store.h"
 #include "base/timer.h"
 #include "fault/fault_io.h"
-#include "fault/sim_width.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
 #include "kiss/kiss2_parser.h"
@@ -641,10 +640,6 @@ int usage() {
                "                       and suite runs (default: hardware\n"
                "                       concurrency; 0 = serial). Results\n"
                "                       are identical for every value\n"
-               "  --lane-bits B        SIMD lane width for fault simulation:\n"
-               "                       64|256|512 (0 = auto; wider than the\n"
-               "                       CPU supports clamps down). Results\n"
-               "                       are identical for every value\n"
                "  --log-level LEVEL    stderr log threshold:\n"
                "                       debug|info|warn|error (default info)\n"
                "  --cache-dir DIR      persistent artifact cache: synthesis,\n"
@@ -692,10 +687,10 @@ int run_command(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   try {
-    if (cmd == "list") return cmd_list();
+    if (cmd == "list" && argc == 2) return cmd_list();
     if (cmd == "report") return cmd_report(argc, argv);
     if (cmd == "serve") return cmd_serve(argc, argv);
-    if (cmd == "info" && argc >= 3) return cmd_info(argv[2]);
+    if (cmd == "info" && argc == 3) return cmd_info(argv[2]);
     if (cmd == "gen" && argc >= 3) {
       std::string out;
       int uio = 0, xfer = 1;
@@ -804,7 +799,6 @@ int main(int argc, char** argv) {
   int telemetry_interval_ms = 250;
   int telemetry_stall_ms = 5000;
   int threads_flag = -1;
-  int lane_bits_flag = 0;
   std::vector<char*> args;
   args.reserve(static_cast<std::size_t>(argc));
   try {
@@ -813,16 +807,6 @@ int main(int argc, char** argv) {
         threads_flag = parse_int_flag("--threads", argv[++i], 0,
                                       fstg::parallel::kMaxThreads);
         fstg::parallel::set_default_threads(threads_flag);
-      } else if (!std::strcmp(argv[i], "--lane-bits") && i + 1 < argc) {
-        const int bits = parse_int_flag("--lane-bits", argv[++i], 0, 512);
-        if (bits != 0 && bits != 64 && bits != 256 && bits != 512) {
-          std::fprintf(stderr,
-                       "error: --lane-bits must be 0 (auto), 64, 256 or "
-                       "512\n");
-          return kExitUsage;
-        }
-        lane_bits_flag = bits;
-        fstg::set_default_lane_bits(bits);
       } else if (!std::strcmp(argv[i], "--log-level") && i + 1 < argc) {
         fstg::set_log_level(parse_log_level(argv[++i]));
       } else if (!std::strcmp(argv[i], "--metrics-out") && i + 1 < argc) {
@@ -895,11 +879,10 @@ int main(int argc, char** argv) {
       record.command = cmd;
       if (args.size() >= 3 && args[2][0] != '-') record.circuit = args[2];
       // Config hash: the post-strip command line (obs destinations vary per
-      // invocation and don't change the work) plus the perf-shaping globals.
+      // invocation and don't change the work) plus the perf-shaping --threads.
       fstg::store::KeyBuilder kb;
       for (std::size_t i = 1; i < args.size(); ++i) kb.add(args[i]);
       kb.add_i64(threads_flag);
-      kb.add_i64(lane_bits_flag);
       record.config_hash = fstg::store::hash_hex(kb.digest());
       record.exit_code = rc;
       record.wall_ms = wall.seconds() * 1000.0;

@@ -1,14 +1,13 @@
-// fstg_difftest — differential-testing oracle across the fault-simulation
-// engines (seed full-cone serial, event-driven serial, event-driven
-// parallel at several thread counts) plus an independent scalar reference.
+// fstg_difftest — differential-testing oracle: the fault-simulation engine
+// at 1 thread against an independent scalar reference simulator, and at 2
+// and 8 threads against its own 1-thread run.
 //
 //   fstg_difftest run [--seed S] [--iters N] [--shrink] [--corpus-dir DIR]
 //       generate N seeded random workloads (random synthesized FSMs,
 //       mixed stuck-at/bridging fault lists, X-bearing and degenerate test
-//       sets) and cross-check every engine configuration on each. A
-//       divergence prints the full report; with --shrink it is also
-//       delta-debugged to a minimal repro and written to DIR as a
-//       self-contained .case file.
+//       sets) and run the oracle on each. A divergence prints the full
+//       report; with --shrink it is also delta-debugged to a minimal repro
+//       and written to DIR as a self-contained .case file.
 //
 //   fstg_difftest replay <file.case ...>
 //   fstg_difftest replay --corpus-dir DIR
@@ -92,8 +91,9 @@ int usage() {
       "usage: fstg_difftest <run|replay> [options]\n"
       "  run     [--seed S] [--iters N] [--shrink] [--corpus-dir DIR]\n"
       "          [--static-redundancy]\n"
-      "          cross-check the fault-sim engines on N seeded random\n"
-      "          workloads (seeds S..S+N-1); --shrink writes minimal\n"
+      "          cross-check the fault-sim engine against the scalar\n"
+      "          reference on N seeded random workloads (seeds\n"
+      "          S..S+N-1); --shrink writes minimal\n"
       "          repros of any divergence into DIR; --static-redundancy\n"
       "          forces the static-vs-exhaustive redundancy check on\n"
       "          every workload\n"
