@@ -19,9 +19,11 @@
 
 int main() {
   using namespace fstg;
-  // nucpwr's gate-level pass simulates >100k tests against ~4.5k faults
-  // (~8 minutes); include it only on request. Its results match the rest:
-  // 100% stuck-at coverage, all bridging misses proven undetectable.
+  // nucpwr's gate-level pass simulates >100k tests against ~4.5k faults;
+  // with its generation, FSTG_HEAVY=1 makes this table take about 13 s
+  // instead of 2 s on a 4-vCPU VM, so it is included only on request. Its
+  // results match the rest: 100% stuck-at coverage, all bridging misses
+  // proven undetectable.
   const int max_weight = std::getenv("FSTG_HEAVY") ? 2 : 1;
 
   std::vector<Table6Row> rows;

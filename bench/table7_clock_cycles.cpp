@@ -15,8 +15,8 @@
 
 int main() {
   using namespace fstg;
-  // See table6_gate_level_faults.cpp: nucpwr's fault-simulation pass is
-  // ~8 minutes, so it is opt-in.
+  // See table6_gate_level_faults.cpp: nucpwr is opt-in (its test
+  // generation alone takes about 11 s on a 4-vCPU VM).
   const int max_weight = std::getenv("FSTG_HEAVY") ? 2 : 1;
 
   std::vector<Table7Row> rows;

@@ -30,6 +30,9 @@ constexpr const char* kInvariantCounters[] = {
     "fault_sim.batches",
     "fault_sim.faults_simulated",
     "fault_sim.faults_dropped",
+    "fault_sim.sliced_tests",
+    "fault_sim.slice_rounds",
+    "fault_sim.continuations",
     "scan.cycles_skipped",
     "scan.cycles_overlay",
     "scan.cycles_full",

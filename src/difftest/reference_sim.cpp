@@ -159,8 +159,19 @@ struct Response {
   std::vector<RV> final_state;      ///< [state bit]
 };
 
+/// True when some position is defined in both vectors and differs.
+bool distinguishable(const std::vector<RV>& a, const std::vector<RV>& b) {
+  for (std::size_t k = 0; k < a.size(); ++k)
+    if (a[k] != RV::kX && b[k] != RV::kX && a[k] != b[k]) return true;
+  return false;
+}
+
+/// Simulate `test` under `fault`. Given `good`, the test's fault-free
+/// response, the run stops after the first cycle whose primary outputs are
+/// distinguishable from it and leaves `final_state` empty: detection is
+/// settled there.
 Response simulate_one(const ScanCircuit& circuit, const FunctionalTest& test,
-                      const FaultSpec& fault) {
+                      const FaultSpec& fault, const Response* good = nullptr) {
   RefEval eval(circuit.comb);
   Response r;
   std::vector<RV> state(static_cast<std::size_t>(circuit.num_sv));
@@ -184,6 +195,7 @@ Response simulate_one(const ScanCircuit& circuit, const FunctionalTest& test,
     for (int k = 0; k < circuit.num_po; ++k)
       po[static_cast<std::size_t>(k)] = eval.output(k);
     r.po.push_back(std::move(po));
+    if (good != nullptr && distinguishable(good->po[c], r.po.back())) return r;
     for (int k = 0; k < circuit.num_sv; ++k)
       state[static_cast<std::size_t>(k)] = eval.output(circuit.num_po + k);
   }
@@ -192,20 +204,13 @@ Response simulate_one(const ScanCircuit& circuit, const FunctionalTest& test,
 }
 
 /// True when the faulty response is distinguishable from the fault-free
-/// one: some position where both are defined and differ.
+/// one at some cycle's primary outputs or at the scan-out. A run that
+/// stopped early ends in a distinguishable cycle, so its empty final state
+/// is never compared.
 bool detects(const Response& good, const Response& faulty) {
-  for (std::size_t c = 0; c < good.po.size(); ++c)
-    for (std::size_t k = 0; k < good.po[c].size(); ++k) {
-      const RV a = good.po[c][k];
-      const RV b = faulty.po[c][k];
-      if (a != RV::kX && b != RV::kX && a != b) return true;
-    }
-  for (std::size_t k = 0; k < good.final_state.size(); ++k) {
-    const RV a = good.final_state[k];
-    const RV b = faulty.final_state[k];
-    if (a != RV::kX && b != RV::kX && a != b) return true;
-  }
-  return false;
+  for (std::size_t c = 0; c < faulty.po.size(); ++c)
+    if (distinguishable(good.po[c], faulty.po[c])) return true;
+  return distinguishable(good.final_state, faulty.final_state);
 }
 
 }  // namespace
@@ -245,7 +250,7 @@ ReferenceResult reference_simulate(const ScanCircuit& circuit,
   for (std::size_t f = 0; f < faults.size(); ++f) {
     for (std::size_t t = 0; t < tests.tests.size(); ++t) {
       const Response faulty =
-          simulate_one(circuit, tests.tests[t], faults[f]);
+          simulate_one(circuit, tests.tests[t], faults[f], &good[t]);
       if (detects(good[t], faulty)) {
         result.detected_by[f] = static_cast<int>(t);
         result.test_effective[t] = true;

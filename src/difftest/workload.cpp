@@ -79,12 +79,14 @@ std::vector<FaultSpec> sample_faults(const ScanCircuit& circuit, Rng& rng) {
   return pool;
 }
 
+std::uint32_t bit_mask(int bits) {
+  return bits >= 32 ? ~0u : (1u << bits) - 1;
+}
+
 TestSet sample_tests(const ScanCircuit& circuit, Rng& rng) {
   TestSet tests;
-  const std::uint32_t in_mask =
-      circuit.num_pi >= 32 ? ~0u : (1u << circuit.num_pi) - 1;
-  const std::uint32_t st_mask =
-      circuit.num_sv >= 32 ? ~0u : (1u << circuit.num_sv) - 1;
+  const std::uint32_t in_mask = bit_mask(circuit.num_pi);
+  const std::uint32_t st_mask = bit_mask(circuit.num_sv);
   const std::size_t count = rng.below(14);  // 0 tests is a valid shape
   for (std::size_t t = 0; t < count; ++t) {
     FunctionalTest ft;
@@ -116,6 +118,21 @@ TestSet sample_tests(const ScanCircuit& circuit, Rng& rng) {
     tests.tests.push_back(std::move(ft));
   }
   return tests;
+}
+
+/// The shape chaining produces: one two-valued test of 200-2,000 random
+/// vectors, at least twice as long as any test sample_tests draws, so the
+/// engine cuts it into segments and stitches them per fault.
+FunctionalTest long_test(const ScanCircuit& circuit, Rng& rng) {
+  FunctionalTest ft;
+  ft.init_state = static_cast<int>(rng.next() & bit_mask(circuit.num_sv));
+  const std::size_t len = 200 + rng.below(1801);
+  for (std::size_t c = 0; c < len; ++c)
+    ft.inputs.push_back(static_cast<std::uint32_t>(rng.next()) &
+                        bit_mask(circuit.num_pi));
+  ft.final_state =
+      static_cast<int>(reference_good_trace(circuit, ft).final_state);
+  return ft;
 }
 
 }  // namespace
@@ -161,6 +178,11 @@ Workload generate_workload(std::uint64_t seed) {
     w.check = CheckKind::kCompaction;
   else if (rng.chance(1, 3))
     w.check = CheckKind::kStaticRedundancy;
+
+  // A quarter of the workloads lead with one long test. Drawn last, for the
+  // same reason: every other seed keeps its circuit, faults and tests.
+  if (rng.chance(1, 4))
+    w.tests.tests.insert(w.tests.tests.begin(), long_test(w.circuit, rng));
   return w;
 }
 

@@ -50,7 +50,8 @@ struct Workload {
 /// pins, non-feedback bridges), and test shapes are all drawn from the
 /// seed, biased toward the shapes that have historically broken engines:
 /// n-ary XOR/XNOR observers (some with duplicated fanins), X-heavy and
-/// all-X vectors, zero-test and one-cycle tests.
+/// all-X vectors, zero-test and one-cycle tests, and a long two-valued
+/// test 0 that the engine runs time-sliced.
 Workload generate_workload(std::uint64_t seed);
 
 /// Append `count` random XOR/XNOR observer gates over existing nets as

@@ -108,6 +108,8 @@ void flush_sim_stats(const LogicSimStats& logic, const ScanSimStats& scan) {
   static const obs::Counter c_full = obs::counter("scan.cycles_full");
   static const obs::Counter c_dirty_on = obs::counter("scan.dirty_activations");
   static const obs::Counter c_dirty_off = obs::counter("scan.dirty_clears");
+  static const obs::Counter c_continued =
+      obs::counter("fault_sim.continuations");
   c_pushes.add(logic.event_pushes);
   c_pops.add(logic.event_pops);
   c_calls.add(logic.overlay_calls);
@@ -118,6 +120,7 @@ void flush_sim_stats(const LogicSimStats& logic, const ScanSimStats& scan) {
   c_full.add(scan.cycles_full);
   c_dirty_on.add(scan.dirty_activations);
   c_dirty_off.add(scan.dirty_clears);
+  c_continued.add(scan.continued_faults);
 }
 
 /// Representative gate of a fault for cone assignment (the site whose FFR
@@ -133,6 +136,78 @@ int fault_site(const FaultSpec& f) {
       return std::min(f.gate, f.gate2_or_pin);
   }
   return 0;
+}
+
+/// One batch of the engine's schedule: tests [first, first + count), one
+/// per lane, or (sliced) test `first` alone, cut into segments that are the
+/// batch's lanes.
+struct Batch {
+  std::size_t first = 0;
+  std::size_t count = 0;
+  bool sliced = false;
+};
+
+/// Walk the tests in order. A two-valued test of at least 2 cycles that
+/// heads a batch and is at least twice as long as each of the next 63
+/// tests runs alone as a sliced batch; otherwise the batch is the next 64
+/// tests. Chaining makes one test per circuit far longer than the rest, so
+/// without slicing its batch would run 63 idle lanes for its whole length.
+std::vector<Batch> batch_layout(const std::vector<ScanPattern>& patterns) {
+  std::vector<Batch> batches;
+  for (std::size_t first = 0; first < patterns.size();) {
+    const std::size_t count =
+        std::min<std::size_t>(kWordBits, patterns.size() - first);
+    const std::size_t len = patterns[first].inputs.size();
+    bool sliced = len >= 2 && !patterns[first].has_x();
+    for (std::size_t t = first + 1; sliced && t < first + count; ++t)
+      sliced = len >= 2 * patterns[t].inputs.size();
+    batches.push_back({first, sliced ? 1 : count, sliced});
+    first += sliced ? 1 : count;
+  }
+  return batches;
+}
+
+/// Cut `test` into at most 64 segments of ceil(len / 64) cycles. Every
+/// segment starts from the test's scan-in state until sliced_good_trace
+/// settles the starts.
+std::vector<ScanPattern> cut_segments(const ScanPattern& test) {
+  const std::size_t len = test.inputs.size();
+  const std::size_t seg = (len + kWordBits - 1) / kWordBits;
+  std::vector<ScanPattern> segments;
+  for (std::size_t at = 0; at < len; at += seg) {
+    ScanPattern s;
+    s.init_state = test.init_state;
+    s.inputs.assign(test.inputs.begin() + static_cast<std::ptrdiff_t>(at),
+                    test.inputs.begin() +
+                        static_cast<std::ptrdiff_t>(std::min(len, at + seg)));
+    segments.push_back(std::move(s));
+  }
+  return segments;
+}
+
+/// Fault-free trace of a sliced batch. Each round runs the segments and
+/// sets every segment's start to its predecessor's simulated end, until no
+/// start changes. Segment 0 starts at the scan-in state, so after round r
+/// segments 0..r-1 are exact and the loop ends within one round per
+/// segment; on exit every segment starts where its predecessor ends, so the
+/// last round is the test's true fault-free trace.
+GoodTrace sliced_good_trace(ScanBatchSim& sim,
+                            std::vector<ScanPattern>& segments,
+                            std::uint64_t& rounds) {
+  for (;;) {
+    GoodTrace good = sim.run_good(segments);
+    ++rounds;
+    bool moved = false;
+    for (std::size_t j = 1; j < segments.size(); ++j) {
+      if (segments[j].init_state == good.final_state[j - 1]) continue;
+      segments[j].init_state = good.final_state[j - 1];
+      moved = true;
+    }
+    if (!moved) {
+      good.sliced = true;
+      return good;
+    }
+  }
 }
 
 /// Fault-level parallelism only pays off once a batch carries enough live
@@ -201,6 +276,8 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
       obs::counter("fault_sim.faults_simulated");
   static const obs::Counter c_dropped = obs::counter("fault_sim.faults_dropped");
   static const obs::Counter c_chunks = obs::counter("fault_sim.chunks");
+  static const obs::Counter c_sliced = obs::counter("fault_sim.sliced_tests");
+  static const obs::Counter c_rounds = obs::counter("fault_sim.slice_rounds");
   static const obs::Gauge g_alive = obs::gauge("fault_sim.faults_alive");
   static const obs::Histogram h_batch_live =
       obs::histogram("fault_sim.batch_live_faults");
@@ -219,12 +296,13 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
           ? compute_fault_cones(circuit.comb, faults, *options.reachability)
           : compute_fault_cones(circuit.comb, faults);
   const int threads = parallel::resolve_threads(options.threads);
+  const std::vector<Batch> layout = batch_layout(patterns);
   // Scheduled batch count for the live-telemetry progress pair: the batch
   // loop bumps fault_sim.batches as it goes, this is the denominator. Both
   // are monotone counters, so a telemetry reader can never see progress
   // move backwards; early exits (all faults dead, budget tripped) simply
   // leave done < expected.
-  c_batches_expected.add((patterns.size() + kWordBits - 1) / kWordBits);
+  c_batches_expected.add(layout.size());
 
   // Cone-sorted fault schedule: group faults whose sites share a
   // fanout-free cone so consecutive faults re-touch the same overlay
@@ -260,19 +338,27 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
 
   std::vector<std::size_t> still_alive;
   std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  for (std::size_t base = 0; base < patterns.size() && !alive.empty();
-       base += kWordBits) {
-    const std::size_t count =
-        std::min<std::size_t>(kWordBits, patterns.size() - base);
-    const std::span<const ScanPattern> batch =
-        std::span<const ScanPattern>(patterns).subspan(base, count);
+  std::vector<ScanPattern> segments;
+  for (const Batch& b : layout) {
+    if (alive.empty()) break;
     c_batches.inc();
     c_simulated.add(alive.size());  // per-batch (fault, test-batch) evals
     h_batch_live.observe(alive.size());
+    std::span<const ScanPattern> batch =
+        std::span<const ScanPattern>(patterns).subspan(b.first, b.count);
     GoodTrace good;
     {
       obs::Span span("fault_sim.good_trace");
-      good = sims[0]->run_good(batch);
+      if (b.sliced) {
+        c_sliced.inc();
+        segments = cut_segments(patterns[b.first]);
+        std::uint64_t rounds = 0;
+        good = sliced_good_trace(*sims[0], segments, rounds);
+        c_rounds.add(rounds);
+        batch = segments;
+      } else {
+        good = sims[0]->run_good(batch);
+      }
     }
     // One excitation/observability index per batch, shared read-only by
     // every worker; its words split across the slots (same index for any
@@ -293,12 +379,13 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
     const auto simulate_range = [&](int slot, std::size_t lo, std::size_t hi) {
       ScanBatchSim& sim = *sims[static_cast<std::size_t>(slot)];
       for (std::size_t i = lo; i < hi; ++i) {
-        if (!guard.tick(count)) return;
+        if (!guard.tick(batch.size())) return;
         const std::size_t f = alive[i];
-        const Word det = sim.run_faulty(batch, good, faults[f], &cones[f]);
+        const Word det =
+            sim.run_faulty(batch, good, faults[f], &cones[f], &guard);
         if (det != 0) {
           result.detected_by[f] = static_cast<int>(
-              base + static_cast<std::size_t>(std::countr_zero(det)));
+              b.first + static_cast<std::size_t>(std::countr_zero(det)));
         }
       }
     };

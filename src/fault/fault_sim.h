@@ -40,7 +40,7 @@ struct FaultSimResult {
 /// Tuning knobs of the fault-simulation engine. The default runs
 /// fault-level parallelism at the process-wide default thread count.
 struct FaultSimOptions {
-  /// Worker count for fault-level parallelism within each 64-test batch:
+  /// Worker count for fault-level parallelism within each test batch:
   /// negative = parallel::default_threads() (hardware concurrency unless
   /// overridden, e.g. by the CLI's --threads), 0 or 1 = serial fallback.
   /// Results are bit-identical for every thread count: each fault's
@@ -62,17 +62,28 @@ struct FaultSimOptions {
 /// detecting test, so effectiveness marks match the paper's
 /// sequential-simulation semantics exactly — for any thread count (see
 /// FaultSimOptions::threads).
+///
+/// A two-valued test of at least 2 cycles that heads a batch and is at
+/// least twice as long as each of the next 63 tests runs alone instead,
+/// time-sliced: it is cut into at most 64 segments of ceil(len / 64)
+/// cycles, the lanes of one batch. The segment start states come from a
+/// fixpoint over the segments' own fault-free runs, and each fault's
+/// segments are stitched into the exact verdict of the whole test (see
+/// ScanBatchSim::run_faulty), so every result is the one the 64-test
+/// layout gives.
 FaultSimResult simulate_faults(const ScanCircuit& circuit,
                                const TestSet& tests,
                                const std::vector<FaultSpec>& faults,
                                const FaultSimOptions& options = {});
 
 /// Budgeted variant: the guard is ticked once per (test batch, live fault)
-/// pair, weighted by the batch width. Exhaustion stops the run at a fault
-/// boundary and returns the partial result with `complete == false`; under
-/// parallelism the shared guard doubles as the cooperative cancellation
-/// flag, so the partial result is still well-formed (every recorded
-/// detection is real and carries its exact first-detecting test).
+/// pair, weighted by the batch width, and once per continuation pass of a
+/// time-sliced test (a fault that trips it there stays undetected).
+/// Exhaustion stops the run at a fault boundary and returns the partial
+/// result with `complete == false`; under parallelism the shared guard
+/// doubles as the cooperative cancellation flag, so the partial result is
+/// still well-formed (every recorded detection is real and carries its
+/// exact first-detecting test).
 FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
                                        const TestSet& tests,
                                        const std::vector<FaultSpec>& faults,

@@ -8,6 +8,7 @@
 
 #include "base/error.h"
 #include "base/parallel/thread_pool.h"
+#include "base/robust/budget.h"
 #include "netlist/netlist.h"
 #include "sim/logic_sim.h"
 
@@ -44,6 +45,8 @@ struct ScanSimStats {
   std::uint64_t cycles_full = 0;        ///< diverged-state (full) cycles
   std::uint64_t dirty_activations = 0;  ///< lanes turning dirty
   std::uint64_t dirty_clears = 0;       ///< dirty lanes reconverging
+  std::uint64_t continued_faults = 0;   ///< sliced faults continued past a
+                                        ///< diverged segment end
 
   ScanSimStats& operator+=(const ScanSimStats& o) {
     cycles_skipped += o.cycles_skipped;
@@ -51,6 +54,7 @@ struct ScanSimStats {
     cycles_full += o.cycles_full;
     dirty_activations += o.dirty_activations;
     dirty_clears += o.dirty_clears;
+    continued_faults += o.continued_faults;
     return *this;
   }
 };
@@ -86,6 +90,13 @@ struct GoodTraceT {
   /// output cone needs re-evaluation.
   std::vector<std::vector<V>> gate_values;
   std::vector<std::vector<std::uint32_t>> state_at;
+
+  /// Set by the fault-simulation engine on a time-sliced batch: the lanes
+  /// are the consecutive segments of one two-valued test, each starting
+  /// where its predecessor ends, so the trace is that test's fault-free
+  /// trace folded into rows of one segment length. run_faulty stitches the
+  /// segments per fault and reports the whole test as lane 0.
+  bool sliced = false;
 
   bool has_x = false;
   /// Per-cycle any-X summary (sized like `active` iff has_x): nonzero means
@@ -187,8 +198,23 @@ class ScanBatchSimT {
   /// values, only gates whose fanins changed are re-evaluated, and
   /// unexcited cycles are skipped whole. Without a cone every cycle is a
   /// full faulty evaluation.
+  ///
+  /// On a sliced trace (`good.sliced`) the lanes are segments of one test,
+  /// and lane 0 of the result is set iff that whole test detects the
+  /// fault. A first pass runs every segment from its fault-free start;
+  /// segment 0 is exact, and segment k+1 is exact iff segment k is exact
+  /// and ends in the fault-free state. A PO mismatch in an exact segment
+  /// detects, and so does the last segment's end-state mismatch (the
+  /// scan-out); an earlier segment ending in a mismatch has only diverged.
+  /// When a segment diverges below every exact detection, the fault is
+  /// continued from that segment's real faulty end state, one segment per
+  /// pass, until it detects, reaches the scan-out, or ends a segment in
+  /// the fault-free state where the first pass is exact again. `guard`, if
+  /// given, is ticked once per continuation pass; a trip leaves the fault
+  /// undetected.
   V run_faulty(std::span<const ScanPattern> batch, const GoodTraceT<V>& good,
-               const FaultSpec& fault, const std::vector<int>* cone = nullptr);
+               const FaultSpec& fault, const std::vector<int>* cone = nullptr,
+               robust::RunGuard* guard = nullptr);
 
   /// Build the excitation/observability index on `good` (one backward
   /// sensitivity sweep per cycle over the netlist — roughly the cost of one
@@ -218,6 +244,22 @@ class ScanBatchSimT {
   /// Extract per-lane next states (and their X masks) from the simulator.
   void extract_next_state(std::vector<std::uint32_t>& state,
                           std::vector<std::uint32_t>& state_x, const V& active);
+
+  /// The faulty evaluator behind run_faulty, over the lanes in `lanes`
+  /// only. Returns their PO detections (the lowest set lane is exact; lanes
+  /// above a detection stop being tracked) and leaves in `end_dirty_` the
+  /// tracked lanes below the lowest detection whose faulty end state
+  /// differs from the fault-free one in value or X-ness (their end states
+  /// in scratch_state_). Lane `start_lane`, unless -1, enters cycle 0 in
+  /// the two-valued faulty state `start_state` instead of its fault-free
+  /// start.
+  V evaluate(std::span<const ScanPattern> batch, const GoodTraceT<V>& good,
+             const FaultSpec& fault, const std::vector<int>* cone, V lanes,
+             int start_lane, std::uint32_t start_state);
+  /// run_faulty on a sliced trace: stitch the segments (see run_faulty).
+  V run_sliced(std::span<const ScanPattern> segments, const GoodTraceT<V>& good,
+               const FaultSpec& fault, const std::vector<int>* cone,
+               robust::RunGuard* guard);
 
   /// Compute the FFR head flags and size the index sweep's scratch (once
   /// per simulator; build_excitation_index calls it on the calling thread
@@ -256,6 +298,8 @@ class ScanBatchSimT {
   std::vector<std::uint64_t> scratch_cand_;
   std::vector<int> scratch_po_cone_;
   std::vector<int> scratch_sv_cone_;
+  std::vector<std::uint32_t> scratch_ends_;  // a sliced first pass's ends
+  V end_dirty_ = Lanes::zero();
   // Index-sweep scratch (prepare_index_scratch): FFR head flags, the
   // per-cycle head sensitivity S, and the AND/OR prefix/suffix products.
   // The sweep reads the netlist from sim_'s CSR.
@@ -633,11 +677,92 @@ template <class V>
 V ScanBatchSimT<V>::run_faulty(std::span<const ScanPattern> batch,
                                const GoodTraceT<V>& good,
                                const FaultSpec& fault,
-                               const std::vector<int>* cone) {
+                               const std::vector<int>* cone,
+                               robust::RunGuard* guard) {
   require(static_cast<int>(batch.size()) == good.num_lanes,
           "batch/trace size mismatch");
-  const V all_lanes = Lanes::low_mask(static_cast<int>(batch.size()));
-  const bool has_x = good.has_x;
+  if (good.sliced) return run_sliced(batch, good, fault, cone, guard);
+  V detected =
+      evaluate(batch, good, fault, cone,
+               Lanes::low_mask(static_cast<int>(batch.size())), -1, 0);
+
+  // Scan-out comparison of the final state. Clean lanes track the good
+  // trace by construction, so only the diverged lanes can differ; lanes at
+  // or above the lowest detecting lane cannot change the attribution (and
+  // their state may be stale), so evaluate leaves them out. A state bit
+  // that is X on either side is not a detection.
+  for_each_lane(end_dirty_, [&](int li) {
+    const std::size_t l = static_cast<std::size_t>(li);
+    std::uint32_t mismatch = scratch_state_[l] ^ good.final_state[l];
+    mismatch &= ~scratch_state_x_[l];
+    if (good.has_x) mismatch &= ~good.final_state_x[l];
+    if (mismatch != 0) Lanes::set(detected, li);
+  });
+  return detected;
+}
+
+template <class V>
+V ScanBatchSimT<V>::run_sliced(std::span<const ScanPattern> segments,
+                               const GoodTraceT<V>& good,
+                               const FaultSpec& fault,
+                               const std::vector<int>* cone,
+                               robust::RunGuard* guard) {
+  const V test_detects = Lanes::low_mask(1);
+  const int last = static_cast<int>(segments.size()) - 1;
+  V last_lane = Lanes::zero();
+  Lanes::set(last_lane, last);
+
+  // First pass: every segment from its fault-free start. `first_det` is
+  // the lowest segment that detects if it is exact; the segments that end
+  // diverged below it were all tracked to their ends.
+  const V po = evaluate(segments, good, fault, cone,
+                        Lanes::low_mask(last + 1), -1, 0);
+  const V det = po | (end_dirty_ & last_lane);
+  const int first_det = Lanes::any(det) ? Lanes::first_lane(det) : last + 1;
+  const V diverged = end_dirty_ & ~last_lane;
+  if (Lanes::none(diverged))
+    return first_det <= last ? test_detects : Lanes::zero();
+  scratch_ends_ = scratch_state_;
+  ++stats_.continued_faults;
+
+  // First-pass outcomes are exact from segment `exact_from` on, up to the
+  // lowest segment that ends diverged there. Continue the fault from that
+  // segment's real faulty end state until it detects, reaches the scan-out,
+  // or ends a segment in the fault-free state. At or below first_det the
+  // first pass is exact again from that boundary; above it the first pass
+  // tracked nothing, so the continuation runs on.
+  int exact_from = 0;
+  for (;;) {
+    const V ahead = diverged & ~Lanes::low_mask(exact_from);
+    if (Lanes::none(ahead))
+      return first_det <= last ? test_detects : Lanes::zero();
+    int j = Lanes::first_lane(ahead);
+    std::uint32_t from = scratch_ends_[static_cast<std::size_t>(j)];
+    bool dirty = true;
+    for (++j;; ++j) {
+      if (guard != nullptr && !guard->tick()) return Lanes::zero();
+      V lane = Lanes::zero();
+      Lanes::set(lane, j);
+      if (Lanes::any(evaluate(segments, good, fault, cone, lane,
+                              dirty ? j : -1, from)))
+        return test_detects;
+      dirty = Lanes::any(end_dirty_);
+      if (j == last) return dirty ? test_detects : Lanes::zero();
+      if (dirty) {
+        from = scratch_state_[static_cast<std::size_t>(j)];
+      } else if (j + 1 <= first_det) {
+        exact_from = j + 1;
+        break;
+      }
+    }
+  }
+}
+
+template <class V>
+V ScanBatchSimT<V>::evaluate(std::span<const ScanPattern> batch,
+                             const GoodTraceT<V>& good, const FaultSpec& fault,
+                             const std::vector<int>* cone, V lanes,
+                             int start_lane, std::uint32_t start_state) {
   V detected = Lanes::zero();
 
   // Lazily tracked faulty state: `state[l]` (and its X mask `state_x[l]`)
@@ -651,6 +776,11 @@ V ScanBatchSimT<V>::run_faulty(std::span<const ScanPattern> batch,
   std::vector<std::uint32_t>& state = scratch_state_;
   std::vector<std::uint32_t>& state_x = scratch_state_x_;
   V dirty = Lanes::zero();
+  if (start_lane >= 0) {
+    state[static_cast<std::size_t>(start_lane)] = start_state;
+    Lanes::set(dirty, start_lane);
+    ++stats_.dirty_activations;
+  }
 
   const int num_po = circuit_->num_po;
   const int num_sv = circuit_->num_sv;
@@ -699,7 +829,7 @@ V ScanBatchSimT<V>::run_faulty(std::span<const ScanPattern> batch,
     }
     // Once a lane detects, only *earlier* tests can change the
     // first-detection attribution, so later lanes stop mattering.
-    const V relevant = Lanes::below_lowest(detected) & all_lanes;
+    const V relevant = Lanes::below_lowest(detected) & lanes;
     const V active = good.active[c] & relevant;
     if (Lanes::none(active))
       break;  // active masks only shrink; nothing left to see
@@ -727,8 +857,8 @@ V ScanBatchSimT<V>::run_faulty(std::span<const ScanPattern> batch,
       ++stats_.cycles_overlay;
       for (int k : scratch_po_cone_)
         detected |= sim_.overlay_output_det_diff(k, base, base_x) & active;
-      if (Lanes::test(detected, 0))
-        return detected;  // lane 0 is already the minimum
+      if (Lanes::none(Lanes::below_lowest(detected) & lanes))
+        break;  // the lowest tracked lane detected: nothing left to see
       // Lanes whose faulty next state differs from the good next state in
       // ANY way (value or X-ness) become dirty; materialize their faulty
       // state bits. Tracking only detectable differences here would lose
@@ -759,7 +889,7 @@ V ScanBatchSimT<V>::run_faulty(std::span<const ScanPattern> batch,
     // A diverged (or cone-less) cycle evaluates the whole faulty machine
     // from the full state vector: materialize clean lanes from the good
     // trace first.
-    for_each_lane(all_lanes & ~dirty, [&](int li) {
+    for_each_lane(lanes & ~dirty, [&](int li) {
       const std::size_t l = static_cast<std::size_t>(li);
       state[l] = good.state_at[c][l];
       state_x[l] = good.state_x_at_of(c, l);
@@ -776,8 +906,8 @@ V ScanBatchSimT<V>::run_faulty(std::span<const ScanPattern> batch,
       if (cx) diff &= ~good.po_x[c][static_cast<std::size_t>(k)];
       detected |= diff & active;
     }
-    if (Lanes::test(detected, 0))
-      return detected;  // lane 0 is already the minimum
+    if (Lanes::none(Lanes::below_lowest(detected) & lanes))
+      break;  // the lowest tracked lane detected: nothing left to see
     extract_next_state(state, state_x, active);
     // Re-derive the dirty set for active lanes by comparing against the
     // good next state (inactive lanes keep their bits and their state).
@@ -789,7 +919,7 @@ V ScanBatchSimT<V>::run_faulty(std::span<const ScanPattern> batch,
       const std::size_t l = static_cast<std::size_t>(li);
       const std::uint32_t nx =
           next_in_trace ? good.state_x_at_of(c + 1, l)
-                        : (has_x ? good.final_state_x[l] : 0u);
+                        : (good.has_x ? good.final_state_x[l] : 0u);
       const bool differs = state[l] != next[l] || state_x[l] != nx;
       if (differs) {
         if (!Lanes::test(dirty, li)) ++stats_.dirty_activations;
@@ -805,19 +935,7 @@ V ScanBatchSimT<V>::run_faulty(std::span<const ScanPattern> batch,
     });
   }
 
-  // Scan-out comparison of the final state. Clean lanes track the good
-  // trace by construction, so only dirty lanes can differ; lanes at or
-  // above the lowest detecting lane cannot change the attribution (and
-  // their state may be stale), so restrict to the relevant ones. A state
-  // bit that is X on either side is not a detection.
-  const V relevant = Lanes::below_lowest(detected) & all_lanes;
-  for_each_lane(relevant & dirty, [&](int li) {
-    const std::size_t l = static_cast<std::size_t>(li);
-    std::uint32_t mismatch = state[l] ^ good.final_state[l];
-    mismatch &= ~state_x[l];
-    if (has_x) mismatch &= ~good.final_state_x[l];
-    if (mismatch != 0) Lanes::set(detected, li);
-  });
+  end_dirty_ = dirty & Lanes::below_lowest(detected) & lanes;
   return detected;
 }
 

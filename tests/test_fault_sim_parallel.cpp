@@ -12,6 +12,7 @@
 #include <bit>
 #include <memory>
 
+#include "base/obs/metrics.h"
 #include "base/parallel/thread_pool.h"
 #include "base/rng.h"
 #include "base/robust/budget.h"
@@ -36,19 +37,21 @@ std::vector<FaultSpec> all_faults(const ScanCircuit& circuit) {
   return faults;
 }
 
-/// The batch shape chaining produces: test 0 runs `long_len` random
-/// vectors and tests 1..63 one to four each, so for most of the batch one
-/// lane is active and 63 sit frozen in their last state. With `with_x`,
-/// input bit 0 of the long test is X in one cycle two thirds of the way in
-/// (an X state bit may then persist, so the cycles before it stay clean).
+/// The batch shape chaining produces: the first `long_tests` tests run
+/// `long_len` random vectors and the rest of the 64 one to four each, so
+/// for most of the batch only the long lanes are active. One long
+/// two-valued test is time-sliced by the engine; two keep the batch whole.
+/// With `with_x`, input bit 0 of test 0 is X in one cycle two thirds of
+/// the way in (an X state bit may then persist, so the cycles before it
+/// stay clean), which also keeps the batch whole.
 TestSet long_and_short_tests(const ScanCircuit& circuit, std::size_t long_len,
-                             bool with_x) {
+                             bool with_x, int long_tests = 1) {
   Rng rng(0x5eed);
   TestSet set;
   for (int t = 0; t < 64; ++t) {
     FunctionalTest test;
     test.init_state = static_cast<int>(rng.below(1u << circuit.num_sv));
-    const std::size_t len = t == 0 ? long_len : 1 + rng.below(4);
+    const std::size_t len = t < long_tests ? long_len : 1 + rng.below(4);
     for (std::size_t c = 0; c < len; ++c)
       test.inputs.push_back(
           static_cast<std::uint32_t>(rng.below(1u << circuit.num_pi)));
@@ -70,24 +73,69 @@ void expect_same_result(const FaultSimResult& a, const FaultSimResult& b) {
   EXPECT_EQ(a.complete, b.complete);
 }
 
+/// The lists run_gate_level simulates: every stuck-at fault and a sample
+/// of at most 4,096 bridging faults.
+std::vector<FaultSpec> gate_level_faults(const ScanCircuit& circuit) {
+  std::vector<FaultSpec> faults = enumerate_stuck_at(circuit.comb);
+  const std::vector<FaultSpec> bridges =
+      sample_bridging(enumerate_bridging(circuit.comb),
+                      GateLevelOptions{}.max_bridging_faults);
+  faults.insert(faults.end(), bridges.begin(), bridges.end());
+  return faults;
+}
+
+/// How much counter `name` grew since `before` was taken.
+std::uint64_t counter_delta(const obs::MetricsSnapshot& before,
+                            const char* name) {
+  return obs::snapshot_metrics().counter_value(name) -
+         before.counter_value(name);
+}
+
 TEST(FaultSimParallel, BitIdenticalAcrossThreadCounts) {
-  CircuitExperiment exp = run_circuit("bbara");
-  const ScanCircuit& circuit = exp.synth.circuit;
-  const std::vector<FaultSpec> faults = all_faults(circuit);
-  ASSERT_GE(faults.size(), 64u);  // must actually exercise the parallel path
+  // cse's generated test 0 (3,442 cycles) is time-sliced into 54-cycle
+  // segments, and some faults are continued past a diverged segment end.
+  for (const char* name : {"bbara", "cse"}) {
+    SCOPED_TRACE(name);
+    CircuitExperiment exp = run_circuit(name);
+    const ScanCircuit& circuit = exp.synth.circuit;
+    const std::vector<FaultSpec> faults = all_faults(circuit);
+    ASSERT_GE(faults.size(), 64u);  // must exercise the parallel path
 
-  FaultSimOptions serial;
-  serial.threads = 0;
-  const FaultSimResult baseline =
-      simulate_faults(circuit, exp.gen.tests, faults, serial);
+    FaultSimOptions serial;
+    serial.threads = 0;
+    const FaultSimResult baseline =
+        simulate_faults(circuit, exp.gen.tests, faults, serial);
 
-  for (int threads : {1, 2, 8}) {
-    FaultSimOptions options;
-    options.threads = threads;
-    const FaultSimResult r =
-        simulate_faults(circuit, exp.gen.tests, faults, options);
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_same_result(r, baseline);
+    for (int threads : {1, 2, 8}) {
+      FaultSimOptions options;
+      options.threads = threads;
+      const FaultSimResult r =
+          simulate_faults(circuit, exp.gen.tests, faults, options);
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      expect_same_result(r, baseline);
+    }
+  }
+}
+
+TEST(FaultSimParallel, SlicedBatchMatchesReference) {
+  // The chained test 0 of dk16 and of bbara is cut into 5-6-cycle
+  // segments. Over their gate-level fault lists, 1,005 and 141 faults are
+  // continued from a diverged segment end, and some are handed back to the
+  // first pass where they re-converge. The oracle checks every detection
+  // against the scalar reference, which never slices.
+  for (const char* name : {"dk16", "bbara"}) {
+    SCOPED_TRACE(name);
+    CircuitExperiment exp = run_circuit(name);
+    difftest::Workload w;
+    w.name = name;
+    w.circuit = exp.synth.circuit;
+    w.faults = gate_level_faults(w.circuit);
+    w.tests = exp.gen.tests;
+    const obs::MetricsSnapshot before = obs::snapshot_metrics();
+    const difftest::OracleReport report = difftest::run_oracle(w);
+    EXPECT_TRUE(report.ok()) << report.to_string();
+    EXPECT_GT(counter_delta(before, "fault_sim.sliced_tests"), 0u);
+    EXPECT_GT(counter_delta(before, "fault_sim.continuations"), 0u);
   }
 }
 
@@ -100,13 +148,22 @@ TEST(FaultSimParallel, EventDrivenMatchesReference) {
   w.tests = exp.gen.tests;
   difftest::OracleReport report = difftest::run_oracle(w);
   EXPECT_TRUE(report.ok()) << report.to_string();
-  // One long test and 63 short ones: the index build forks (576 cycles are
-  // 9 words, two 8-word chunks), and only the one active lane may make a
-  // tail cycle a candidate. Short enough for the scalar reference under
-  // TSan.
-  for (const bool with_x : {false, true}) {
-    SCOPED_TRACE(with_x ? "X-bearing" : "two-valued");
-    w.tests = long_and_short_tests(w.circuit, 576, with_x);
+  // Long tests among 63 short ones, short enough for the scalar reference
+  // under TSan. One two-valued long test is time-sliced. The X-bearing one
+  // and a pair of two-valued ones keep their batch whole: its index build
+  // forks (576 cycles are 9 words, two 8-word chunks), and only the active
+  // lanes may make a tail cycle a candidate.
+  struct Shape {
+    const char* label;
+    bool with_x;
+    int long_tests;
+  };
+  for (const Shape& shape : {Shape{"sliced", false, 1},
+                             Shape{"X-bearing", true, 1},
+                             Shape{"two long", false, 2}}) {
+    SCOPED_TRACE(shape.label);
+    w.tests = long_and_short_tests(w.circuit, 576, shape.with_x,
+                                   shape.long_tests);
     report = difftest::run_oracle(w);
     EXPECT_TRUE(report.ok()) << report.to_string();
   }

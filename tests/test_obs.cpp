@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -233,6 +234,97 @@ TEST(ObsPipeline, GateLevelRunFillsFaultSimCounters) {
   EXPECT_NE(json.find("\"suite\""), std::string::npos);
   EXPECT_NE(json.find("\"suite.circuit\""), std::string::npos);
   EXPECT_GT(obs::snapshot_metrics().counter_value("suite.circuits_ok"), 0u);
+}
+
+/// Backticked dotted names in `text` (metric names; a `<placeholder>`
+/// segment such as `budget.trips.<reason>` stands for a dynamic family).
+std::set<std::string> backticked_names(const std::string& text) {
+  static const std::regex kName("`([a-z_0-9]+(?:\\.[a-z_0-9<>]+)+)`");
+  std::set<std::string> names;
+  for (std::sregex_iterator it(text.begin(), text.end(), kName), end;
+       it != end; ++it)
+    names.insert((*it)[1]);
+  return names;
+}
+
+bool documented(const std::set<std::string>& names, const std::string& metric) {
+  if (names.count(metric) != 0) return true;
+  for (const std::string& n : names) {
+    const std::size_t hole = n.find('<');
+    if (hole != std::string::npos && metric.compare(0, hole, n, 0, hole) == 0)
+      return true;
+  }
+  return false;
+}
+
+bool starts_with(const std::string& s, const char* prefix) {
+  return s.rfind(prefix, 0) == 0;
+}
+
+TEST(ObsCatalog, RegisteredMetricsMatchTheDocumentedCatalog) {
+  // Register everything a pipeline run registers: generation, both fault
+  // simulations, and the suite runner, whose two circuits run on the
+  // worker pool.
+  const CircuitExperiment exp = run_circuit("lion");
+  (void)run_gate_level(exp, /*classify_redundancy=*/true);
+  SuiteOptions options;
+  options.gate_level = true;
+  options.threads = 2;
+  (void)run_circuit_suite({"lion", "dk27"}, options);
+
+  // The catalog lists counters in a table, then gauges and histograms in
+  // one paragraph each; analysis.* and lint.* counters have their own docs.
+  const std::string obs_doc = slurp(FSTG_DOCS_DIR "/OBSERVABILITY.md");
+  const std::size_t begin = obs_doc.find("### Metric catalog");
+  ASSERT_NE(begin, std::string::npos);
+  const std::string catalog =
+      obs_doc.substr(begin, obs_doc.find("\n## ", begin) - begin);
+  const std::size_t gauges_at = catalog.find("Gauges:");
+  const std::size_t histograms_at = catalog.find("Histograms:");
+  ASSERT_LT(gauges_at, histograms_at);
+  ASSERT_NE(histograms_at, std::string::npos);
+  const std::set<std::string> counters =
+      backticked_names(catalog.substr(0, gauges_at));
+  const std::set<std::string> gauges = backticked_names(
+      catalog.substr(gauges_at, histograms_at - gauges_at));
+  const std::set<std::string> histograms =
+      backticked_names(catalog.substr(histograms_at));
+  const std::set<std::string> analysis =
+      backticked_names(slurp(FSTG_DOCS_DIR "/ANALYSIS.md"));
+  const std::set<std::string> lint =
+      backticked_names(slurp(FSTG_DOCS_DIR "/LINTING.md"));
+
+  const obs::MetricsSnapshot snap = obs::snapshot_metrics();
+  std::set<std::string> registered;
+  for (const auto& [name, value] : snap.counters) {
+    registered.insert(name);
+    if (starts_with(name, "test.")) continue;  // this binary's own probes
+    const std::set<std::string>& doc =
+        starts_with(name, "analysis.") ? analysis
+        : starts_with(name, "lint.")   ? lint
+                                       : counters;
+    EXPECT_TRUE(documented(doc, name)) << "counter " << name;
+  }
+  for (const auto& [name, value] : snap.gauges) {
+    registered.insert(name);
+    if (starts_with(name, "test.")) continue;
+    EXPECT_TRUE(documented(gauges, name)) << "gauge " << name;
+  }
+  for (const obs::HistogramSnapshot& h : snap.histograms) {
+    registered.insert(h.name);
+    if (starts_with(h.name, "test.")) continue;
+    EXPECT_TRUE(documented(histograms, h.name)) << "histogram " << h.name;
+  }
+  // The engine's families are registered by any run that simulates, so a
+  // catalog entry no run registers is stale.
+  for (const std::set<std::string>* kind : {&counters, &gauges, &histograms}) {
+    for (const std::string& name : *kind) {
+      if (!starts_with(name, "fault_sim.") && !starts_with(name, "sim.") &&
+          !starts_with(name, "scan.") && !starts_with(name, "pool."))
+        continue;
+      EXPECT_EQ(registered.count(name), 1u) << name << " is never registered";
+    }
+  }
 }
 
 TEST(ObsPipeline, InertHandlesPastCapacityAreSafe) {
