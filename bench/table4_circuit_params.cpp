@@ -4,7 +4,6 @@
 // shiftreg are exact reproductions; the other circuits are deterministic
 // synthetic stand-ins with the paper's interface dimensions (DESIGN.md).
 
-#include <cstdlib>
 #include <iostream>
 
 #include "base/table_printer.h"
@@ -13,10 +12,8 @@
 
 int main() {
   using namespace fstg;
-  const int max_weight = std::getenv("FSTG_SKIP_HEAVY") ? 1 : 2;
-
   std::vector<Table4Row> rows;
-  for (const std::string& name : benchmark_names(max_weight))
+  for (const std::string& name : benchmark_names())
     rows.push_back(compute_table4_row(run_circuit(name)));
 
   std::cout << "== Table 4 (measured): circuit parameters ==\n";

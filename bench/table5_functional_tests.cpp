@@ -4,7 +4,6 @@
 // all num_states * num_input_combos state-transitions; the table reports
 // how strongly the procedure chains transitions into shared tests.
 
-#include <cstdlib>
 #include <iostream>
 
 #include "base/table_printer.h"
@@ -13,10 +12,8 @@
 
 int main() {
   using namespace fstg;
-  const int max_weight = std::getenv("FSTG_SKIP_HEAVY") ? 1 : 2;
-
   std::vector<Table5Row> rows;
-  for (const std::string& name : benchmark_names(max_weight))
+  for (const std::string& name : benchmark_names())
     rows.push_back(compute_table5_row(run_circuit(name)));
 
   std::cout << "== Table 5 (measured): functional test generation ==\n";

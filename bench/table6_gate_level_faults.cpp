@@ -10,7 +10,6 @@
 // implementations; bridging lists above 4096 faults are deterministically
 // sampled — see DESIGN.md).
 
-#include <cstdlib>
 #include <iostream>
 
 #include "base/table_printer.h"
@@ -19,15 +18,8 @@
 
 int main() {
   using namespace fstg;
-  // nucpwr's gate-level pass simulates >100k tests against ~4.5k faults;
-  // with its generation, FSTG_HEAVY=1 makes this table take about 13 s
-  // instead of 2 s on a 4-vCPU VM, so it is included only on request. Its
-  // results match the rest: 100% stuck-at coverage, all bridging misses
-  // proven undetectable.
-  const int max_weight = std::getenv("FSTG_HEAVY") ? 2 : 1;
-
   std::vector<Table6Row> rows;
-  for (const std::string& name : benchmark_names(max_weight)) {
+  for (const std::string& name : benchmark_names()) {
     CircuitExperiment exp = run_circuit(name);
     GateLevelResult gate = run_gate_level(exp, /*classify_redundancy=*/true);
     rows.push_back(compute_table6_row(exp, gate));

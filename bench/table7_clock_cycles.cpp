@@ -6,7 +6,6 @@
 // same as per-transition application (~100% or less), and the effective
 // subsets are drastically cheaper.
 
-#include <cstdlib>
 #include <iostream>
 
 #include "base/table_printer.h"
@@ -15,12 +14,8 @@
 
 int main() {
   using namespace fstg;
-  // See table6_gate_level_faults.cpp: nucpwr is opt-in (its test
-  // generation alone takes about 11 s on a 4-vCPU VM).
-  const int max_weight = std::getenv("FSTG_HEAVY") ? 2 : 1;
-
   std::vector<Table7Row> rows;
-  for (const std::string& name : benchmark_names(max_weight)) {
+  for (const std::string& name : benchmark_names()) {
     CircuitExperiment exp = run_circuit(name);
     GateLevelResult gate = run_gate_level(exp, /*classify_redundancy=*/false);
     rows.push_back(compute_table7_row(exp, gate));

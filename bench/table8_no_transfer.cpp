@@ -19,7 +19,7 @@ int main() {
   // which the percentage ... is 100% or higher in Table 7").
   std::vector<std::string> selected;
   std::vector<CircuitExperiment> baseline;
-  for (const std::string& name : benchmark_names(/*max_weight=*/1)) {
+  for (const std::string& name : benchmark_names()) {
     CircuitExperiment exp = run_circuit(name);
     const int sv = exp.synth.circuit.num_sv;
     const double percent =

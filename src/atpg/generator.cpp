@@ -20,7 +20,8 @@ class UntestedTracker {
       : nic_(table.num_input_combos()),
         tested_(table.num_transitions(), -1),
         per_state_(static_cast<std::size_t>(table.num_states()),
-                   table.num_input_combos()) {}
+                   table.num_input_combos()),
+        cursor_(static_cast<std::size_t>(table.num_states()), 0) {}
 
   bool is_tested(int state, std::uint32_t ic) const {
     return tested_[id(state, ic)] >= 0;
@@ -34,11 +35,12 @@ class UntestedTracker {
     return per_state_[static_cast<std::size_t>(state)] > 0;
   }
   /// Lowest untested input combination out of `state`, or nic if none.
-  std::uint32_t first_untested(int state) const {
-    if (!state_has_untested(state)) return nic_;
-    for (std::uint32_t a = 0; a < nic_; ++a)
-      if (!is_tested(state, a)) return a;
-    return nic_;
+  /// Transitions are only ever marked tested, so the answer never moves
+  /// down and a per-state cursor resumes where the last call stopped.
+  std::uint32_t first_untested(int state) {
+    std::uint32_t& a = cursor_[static_cast<std::size_t>(state)];
+    while (a < nic_ && is_tested(state, a)) ++a;
+    return a;
   }
   const std::vector<int>& tested_by() const { return tested_; }
 
@@ -49,6 +51,7 @@ class UntestedTracker {
   std::uint32_t nic_;
   std::vector<int> tested_;
   std::vector<std::uint32_t> per_state_;
+  std::vector<std::uint32_t> cursor_;
 };
 
 }  // namespace
@@ -86,10 +89,12 @@ GeneratorResult generate_functional_tests(const StateTable& table,
   UntestedTracker tracker(table);
   TestSet& tests = result.tests;
   result.degraded = !result.uios.complete();
-  // One guard for every transfer search in this run; exhaustion (or test
-  // injection) degrades each remaining search to "no transfer" => the
-  // current test ends with a scan-out, which is always sound.
-  robust::RunGuard xfer_guard(robust::Budget{}, "transfer.bfs");
+  // One guard, under the run's budget, for every transfer search in this
+  // run; exhaustion (or test injection) degrades each remaining search to
+  // "no transfer" => the current test ends with a scan-out, which is always
+  // sound.
+  robust::RunGuard xfer_guard(options.budget, "transfer.bfs");
+  const SuccessorLists successors = successor_lists(table);
 
   auto has_uio = [&](int state) {
     return result.uios.of(state).exists;
@@ -151,7 +156,7 @@ GeneratorResult generate_functional_tests(const StateTable& table,
           // into a state that still has untested transitions.
           if (options.transfer_max_length > 0) {
             TransferSearch xfer = find_transfer_guarded(
-                table, after_uio, options.transfer_max_length,
+                successors, after_uio, options.transfer_max_length,
                 [&](int t) { return tracker.state_has_untested(t); },
                 xfer_guard);
             if (xfer.budget_exhausted) result.degraded = true;

@@ -18,11 +18,13 @@ struct GeneratorOptions {
   bool postpone_no_uio_starts = true;
   /// Work budget forwarded to UIO derivation.
   std::uint64_t uio_eval_budget = 50'000'000;
-  /// Resource envelope for the whole UIO derivation (wall clock, total
-  /// expansions, memory estimate). Exhaustion is *not* an error: states
-  /// whose search was cut short are treated as UIO-less, exactly the
-  /// paper's own degradation — the chained test ends with a scan-out, so
-  /// state-transition coverage is preserved while cycle count may rise.
+  /// Resource envelope (wall clock, total expansions, memory estimate)
+  /// that bounds the UIO derivation and, separately, all transfer
+  /// searches of the run. Exhaustion is *not* an error: states whose UIO
+  /// search was cut short are treated as UIO-less, and a cut transfer
+  /// search reads as "no transfer" — exactly the paper's own degradation:
+  /// the chained test ends with a scan-out, so state-transition coverage
+  /// is preserved while cycle count may rise.
   robust::Budget budget;
 };
 

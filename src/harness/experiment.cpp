@@ -131,10 +131,10 @@ CircuitExperiment run_fsm_staged(const Kiss2Fsm& fsm,
   }
   if (exp.gen.degraded)
     log_warn("circuit " + fsm.name +
-             ": budget exhausted during UIO search (" +
+             ": budget exhausted during UIO or transfer search (" +
              std::to_string(exp.gen.uio_aborted_states()) +
-             " states aborted); falling back to scan-out, coverage is "
-             "preserved, cycle count may rise");
+             " UIO searches aborted); falling back to scan-out, coverage "
+             "is preserved, cycle count may rise");
   return exp;
 }
 

@@ -71,6 +71,12 @@ Cube Cube::supercube(const Cube& o) const {
   return c;
 }
 
+std::uint64_t Cube::fixed_mask() const {
+  const std::uint64_t fixed =
+      ~(bits_ & (bits_ >> 1)) & low_bits_mask(num_vars_);
+  return fixed | (fixed << 1);
+}
+
 bool Cube::contains_minterm(std::uint32_t minterm_bits) const {
   for (int v = 0; v < num_vars_; ++v) {
     Lit lit = get(v);

@@ -51,6 +51,17 @@ class Cube {
   /// Smallest cube containing both (bitwise or).
   Cube supercube(const Cube& o) const;
 
+  /// Both bits of every variable this cube fixes to 0 or 1. OR-ing it into
+  /// another cube (raise()) raises those variables to don't-care.
+  std::uint64_t fixed_mask() const;
+
+  /// This cube with the positions set in `mask` raised (bitwise or).
+  Cube raise(std::uint64_t mask) const {
+    Cube c = *this;
+    c.bits_ |= mask;
+    return c;
+  }
+
   /// Does this cube contain the given minterm?
   bool contains_minterm(std::uint32_t minterm_bits) const;
 

@@ -1,5 +1,7 @@
 #include "logic/minimize.h"
 
+#include <algorithm>
+
 #include "base/error.h"
 #include "logic/tautology.h"
 
@@ -16,7 +18,7 @@ Cover union_covers(const Cover& a, const Cover& b) {
 
 }  // namespace
 
-Cover expand_cover(const Cover& cover, const Cover& free_set, int rotation) {
+Cover expand_cover(const Cover& cover, const Cover& off_set, int rotation) {
   Cover out(cover.num_vars());
   for (const Cube& cube : cover.cubes()) {
     Cube c = cube;
@@ -25,7 +27,9 @@ Cover expand_cover(const Cover& cover, const Cover& free_set, int rotation) {
       if (c.get(v) == Lit::kDC) continue;
       Cube raised = c;
       raised.set(v, Lit::kDC);
-      if (cube_covered(raised, free_set)) c = raised;
+      if (std::none_of(off_set.cubes().begin(), off_set.cubes().end(),
+                       [&](const Cube& off) { return off.intersects(raised); }))
+        c = raised;
     }
     out.add(c);
   }
@@ -39,10 +43,14 @@ Cover irredundant_cover(const Cover& cover, const Cover& dc_set) {
   std::vector<Cube> cubes = cover.cubes();
   std::vector<bool> keep(cubes.size(), true);
   for (std::size_t i = 0; i < cubes.size(); ++i) {
+    // Only cubes that meet cubes[i] survive its cofactor, so the rest are
+    // left out up front.
     Cover rest(cover.num_vars());
     for (std::size_t j = 0; j < cubes.size(); ++j)
-      if (j != i && keep[j]) rest.add(cubes[j]);
-    for (const Cube& d : dc_set.cubes()) rest.add(d);
+      if (j != i && keep[j] && cubes[j].intersects(cubes[i]))
+        rest.add(cubes[j]);
+    for (const Cube& d : dc_set.cubes())
+      if (d.intersects(cubes[i])) rest.add(d);
     if (cube_covered(cubes[i], rest)) keep[i] = false;
   }
   Cover out(cover.num_vars());
@@ -57,13 +65,13 @@ Cover minimize_cover(const Cover& on_set, const Cover& dc_set,
           "minimize_cover: variable count mismatch");
   if (on_set.empty()) return on_set;
 
-  Cover free_set = union_covers(on_set, dc_set);
+  const Cover off_set = complement_cover(union_covers(on_set, dc_set));
   Cover current = on_set;
   current.remove_single_cube_contained();
   std::size_t best_cost = static_cast<std::size_t>(-1);
   Cover best = current;
   for (int pass = 0; pass < options.passes; ++pass) {
-    current = expand_cover(current, free_set,
+    current = expand_cover(current, off_set,
                            pass * 7);  // rotate the raising order per pass
     current = irredundant_cover(current, dc_set);
     std::size_t cost = current.size() * 100 + current.literal_count();

@@ -4,8 +4,10 @@
 
 namespace fstg {
 
-/// Is the cover a tautology (covers every minterm)? Espresso-style
-/// recursion: unate leaf rule + splitting on the most binate variable.
+/// Is the cover a tautology (covers every minterm)? Recursion with two leaf
+/// rules — a universal cube is a tautology; cubes whose minterm counts sum
+/// to less than the space are not — and splitting on the most binate
+/// variable.
 bool is_tautology(const Cover& cover);
 
 /// Is cube `c` completely covered by `cover`? (Tautology of the cofactor.)

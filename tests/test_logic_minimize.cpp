@@ -78,6 +78,21 @@ TEST_P(MinimizeProperty, ExactOnRandomFunctions) {
       if (in_on && !in_dc) EXPECT_TRUE(in_m) << "dropped on-minterm " << p;
       if (!in_on && !in_dc) EXPECT_FALSE(in_m) << "covers off-minterm " << p;
     }
+    // Primality (EXPAND's guarantee): raising any single literal of a
+    // result cube covers a minterm outside on ∪ dc.
+    for (const Cube& c : m.cubes()) {
+      for (int v = 0; v < nv; ++v) {
+        if (c.get(v) == Lit::kDC) continue;
+        Cube raised = c;
+        raised.set(v, Lit::kDC);
+        bool covers_off = false;
+        for (std::uint32_t p = 0; p < (1u << nv) && !covers_off; ++p)
+          covers_off =
+              raised.contains_minterm(p) && !on.eval(p) && !dc.eval(p);
+        EXPECT_TRUE(covers_off)
+            << c.to_string() << " is not prime in variable " << v;
+      }
+    }
     // Cost sanity: never more cubes than the input on-set.
     EXPECT_LE(m.size(), std::max<std::size_t>(on.size(), 1));
   }

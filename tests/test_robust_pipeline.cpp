@@ -74,8 +74,8 @@ TEST_F(RobustPipelineTest, TransferExhaustionIsTypedNotANonExistenceProof) {
   StateTable t = table("lion");
   inject_budget_exhaustion("transfer.bfs");
   RunGuard guard(Budget{}, "transfer.bfs");
-  TransferSearch r =
-      find_transfer_guarded(t, 0, 4, [](int s) { return s == 2; }, guard);
+  TransferSearch r = find_transfer_guarded(
+      successor_lists(t), 0, 4, [](int s) { return s == 2; }, guard);
   EXPECT_TRUE(r.budget_exhausted);
   EXPECT_FALSE(r.seq.has_value());
 }
@@ -202,6 +202,26 @@ TEST_P(ScanOutFallbackTest, BudgetExhaustedUioStillCoversAllTransitions) {
 
 INSTANTIATE_TEST_SUITE_P(Circuits, ScanOutFallbackTest,
                          ::testing::Values("lion", "dk27"));
+
+TEST_F(RobustPipelineTest, GenerationBudgetBoundsTransferSearches) {
+  StateTable t = table("lion");
+  // Complete UIOs, so the budget can only trip in the transfer searches
+  // (lion's chaining needs two of them).
+  UioSet uios = derive_uio_sequences(t);
+  ASSERT_TRUE(uios.complete());
+
+  GeneratorOptions starved;
+  starved.budget.max_expansions = 1;
+  GeneratorResult r = generate_functional_tests(t, starved, std::move(uios));
+  EXPECT_TRUE(r.degraded);
+  EXPECT_EQ(r.uio_aborted_states(), 0);
+  r.tests.validate(t);
+  for (std::size_t id = 0; id < r.tested_by.size(); ++id)
+    EXPECT_GE(r.tested_by[id], 0) << "transition " << id << " untested";
+  StCoverageResult cov = simulate_st_faults(t, r.tests, enumerate_st_faults(t));
+  EXPECT_EQ(cov.detected, cov.total);
+  EXPECT_DOUBLE_EQ(cov.percent(), 100.0);
+}
 
 // --- Structured-error boundaries -----------------------------------------
 
