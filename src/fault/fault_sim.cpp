@@ -214,48 +214,6 @@ GoodTrace sliced_good_trace(ScanBatchSim& sim,
 /// faults to amortize the fork/join of one parallel region.
 constexpr std::size_t kMinParallelFaults = 64;
 
-/// A batch's excitation index is built across the worker slots only once
-/// it spans this many 64-cycle words; shorter batches sweep faster than a
-/// fork/join.
-constexpr std::size_t kMinParallelIndexWords = 8;
-
-/// Split the live-fault list (already in cone-sorted schedule order) into
-/// chunks of roughly equal summed work, snapping chunk boundaries to FFR
-/// cone boundaries (bounded: a chunk stops growing at 2x its target even
-/// mid-cone). Equal-*weight* chunks are the fix for the fixed-stripe
-/// granularity bug: cone sizes vary by 3 orders of magnitude, so
-/// equal-*count* stripes left some workers with all the big cones.
-std::vector<std::pair<std::size_t, std::size_t>> weight_chunks(
-    const std::vector<std::size_t>& alive,
-    const std::vector<int>& fault_cone, const std::vector<std::size_t>& weight,
-    int threads) {
-  std::size_t total = 0;
-  for (std::size_t f : alive) total += weight[f] + 1;
-  // ~4 chunks per worker gives the stealing deques slack to rebalance.
-  const std::size_t target = std::max<std::size_t>(
-      1, total / (static_cast<std::size_t>(threads) * 4));
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  std::size_t lo = 0;
-  std::size_t acc = 0;
-  for (std::size_t i = 0; i < alive.size(); ++i) {
-    acc += weight[alive[i]] + 1;
-    if (acc < target) continue;
-    // Snap the cut to the end of the current cone group, within 2x target.
-    std::size_t end = i + 1;
-    while (end < alive.size() && acc < 2 * target &&
-           fault_cone[alive[end]] == fault_cone[alive[i]]) {
-      acc += weight[alive[end]] + 1;
-      ++end;
-    }
-    chunks.emplace_back(lo, end);
-    lo = end;
-    acc = 0;
-    i = end - 1;
-  }
-  if (lo < alive.size()) chunks.emplace_back(lo, alive.size());
-  return chunks;
-}
-
 }  // namespace
 
 FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
@@ -275,16 +233,11 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
   static const obs::Counter c_simulated =
       obs::counter("fault_sim.faults_simulated");
   static const obs::Counter c_dropped = obs::counter("fault_sim.faults_dropped");
-  static const obs::Counter c_chunks = obs::counter("fault_sim.chunks");
   static const obs::Counter c_sliced = obs::counter("fault_sim.sliced_tests");
   static const obs::Counter c_rounds = obs::counter("fault_sim.slice_rounds");
   static const obs::Gauge g_alive = obs::gauge("fault_sim.faults_alive");
   static const obs::Histogram h_batch_live =
       obs::histogram("fault_sim.batch_live_faults");
-  static const obs::Histogram h_chunk_faults =
-      obs::histogram("fault_sim.chunk_faults");
-  static const obs::Histogram h_chunk_weight =
-      obs::histogram("fault_sim.chunk_weight");
   c_runs.inc();
   obs::StageScope run_scope("fault_sim.run",
                             std::to_string(faults.size()) + " faults / " +
@@ -306,18 +259,15 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
 
   // Cone-sorted fault schedule: group faults whose sites share a
   // fanout-free cone so consecutive faults re-touch the same overlay
-  // working set, and use the output-cone gate count as the per-fault work
-  // estimate for chunk sizing. The schedule is a permutation of the
-  // simulation order only — per-fault results are position-independent, so
-  // this cannot change any detection.
+  // working set. The schedule is a permutation of the simulation order
+  // only — per-fault results are position-independent, so this cannot
+  // change any detection.
   const ConePartition part = fanout_free_cones(circuit.comb);
   std::vector<int> fault_cone(faults.size(), 0);
-  std::vector<std::size_t> weight(faults.size(), 0);
   for (std::size_t f = 0; f < faults.size(); ++f) {
     const int site = fault_site(faults[f]);
     if (site >= 0 && site < circuit.comb.num_gates())
       fault_cone[f] = part.cone_id[static_cast<std::size_t>(site)];
-    weight[f] = cones[f].size();
   }
   std::vector<std::size_t> alive(faults.size());
   for (std::size_t f = 0; f < faults.size(); ++f) alive[f] = f;
@@ -337,7 +287,6 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
   }
 
   std::vector<std::size_t> still_alive;
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
   std::vector<ScanPattern> segments;
   for (const Batch& b : layout) {
     if (alive.empty()) break;
@@ -365,10 +314,7 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
     // split).
     {
       obs::Span span("fault_sim.excitation_index");
-      const std::size_t words = (good.active.size() + 63) / 64;
-      ScanBatchSim::build_excitation_index(
-          good, std::span<ScanBatchSim* const>(slots).first(
-                    words >= kMinParallelIndexWords ? slots.size() : 1));
+      ScanBatchSim::build_excitation_index(good, slots);
     }
 
     // Each live fault is simulated independently against the shared good
@@ -389,24 +335,15 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
         }
       }
     };
-    if (threads > 1 && alive.size() >= kMinParallelFaults) {
-      chunks = weight_chunks(alive, fault_cone, weight, threads);
-      c_chunks.add(chunks.size());
-      for (const auto& [lo, hi] : chunks) {
-        h_chunk_faults.observe(hi - lo);
-        std::size_t w = 0;
-        for (std::size_t i = lo; i < hi; ++i) w += weight[alive[i]] + 1;
-        h_chunk_weight.observe(w);
-      }
-      parallel::parallel_for(
-          chunks.size(), 1, threads,
-          [&](int slot, std::size_t clo, std::size_t chi) {
-            for (std::size_t c = clo; c < chi; ++c)
-              simulate_range(slot, chunks[c].first, chunks[c].second);
-          });
-    } else {
-      simulate_range(0, 0, alive.size());
-    }
+    // Equal-count chunks of about 1/16 of a worker's share of the
+    // cone-sorted list: neighbouring faults share cones, and the stealing
+    // deques even out the uneven per-fault cost.
+    const int workers = alive.size() >= kMinParallelFaults ? threads : 1;
+    parallel::parallel_for(
+        alive.size(),
+        std::max<std::size_t>(
+            1, alive.size() / (16 * static_cast<std::size_t>(workers))),
+        workers, simulate_range);
 
     // Deterministic reduction: per-fault marks are disjoint and the
     // effectiveness/coverage aggregates are order-independent unions, so

@@ -14,9 +14,7 @@ class Netlist;
 ///
 /// Faults inside one cone share the head's transitive fanout almost
 /// entirely, so the fault-simulation engine sorts fault batches by cone:
-/// consecutive faults re-touch the same overlay working set (cache-warm)
-/// and a cone's total gate count is a usable per-fault work estimate for
-/// sizing parallel chunks.
+/// consecutive faults re-touch the same overlay working set (cache-warm).
 struct ConePartition {
   /// head[g] = id of the FFR head gate g funnels into (head[h] == h).
   std::vector<int> head;

@@ -114,6 +114,13 @@ struct GoodTraceT {
   /// workers. run_faulty jumps straight between candidate cycles instead of
   /// testing excitation cycle by cycle.
   ///
+  /// The bitsets are stored word-major: word w of gate g's bitset is
+  /// `exc_any1[w * gates + g]` (likewise `exc_any0`, `exc_obs*`), and word
+  /// w of fanin entry e's is `exc_pin_obs1[w * entries + e]`, where `gates`
+  /// is exc_pin_base.size() - 1 and `entries` is exc_pin_base.back(). One
+  /// word's 64 cycles thus fill one contiguous block per bitset kind, which
+  /// the builder's slots write without sharing.
+  ///
   /// Every bit speaks about *active* lanes only (`active[c]`): a lane whose
   /// test has ended keeps its last state for the rest of the batch, but it
   /// can neither detect a fault nor turn dirty, so its values never make a
@@ -223,10 +230,11 @@ class ScanBatchSimT {
   /// run_faulty.
   ///
   /// No cycle's sweep depends on another's, so the index's 64-cycle words
-  /// are split across one parallel_for slot per simulator in `slots` (all
-  /// over the same circuit; slot s sweeps with slots[s]'s scratch). Each
-  /// word column is written by exactly one slot, so the index is the same
-  /// for any number of slots; a single slot builds on the calling thread.
+  /// are handed out one per chunk across one parallel_for slot per
+  /// simulator in `slots` (all over the same circuit; slot s sweeps with
+  /// slots[s]'s scratch). Each word's block is written by exactly one slot,
+  /// so the index is the same for any number of slots; a single slot, or a
+  /// one-word batch, builds on the calling thread.
   static void build_excitation_index(GoodTraceT<V>& good,
                                      std::span<ScanBatchSimT* const> slots);
 
@@ -266,7 +274,7 @@ class ScanBatchSimT {
   /// so the parallel sweep never allocates).
   void prepare_index_scratch();
   /// Sweep the cycles of index words [w_lo, w_hi) of `good`, setting bits
-  /// only in those word columns of the per-gate and per-pin bitsets.
+  /// only in those words' blocks of the per-gate and per-pin bitsets.
   void sweep_index_words(GoodTraceT<V>& good, std::size_t w_lo,
                          std::size_t w_hi);
 
@@ -436,15 +444,12 @@ void ScanBatchSimT<V>::build_excitation_index(
     GoodTraceT<V>& good, std::span<ScanBatchSimT* const> slots) {
   require(!slots.empty(), "excitation index needs a simulator");
   const std::size_t W = (good.active.size() + 63) / 64;
-  // Chunks of 8 words: slots then set bits at gate*W + w in different cache
-  // lines except at chunk edges. Only the slots parallel_for hands work to
-  // get scratch: at most one per chunk, and just the caller's when this
-  // runs nested in another region (inline).
-  constexpr std::size_t kChunkWords = 8;
-  const std::size_t chunks =
-      std::max<std::size_t>(1, (W + kChunkWords - 1) / kChunkWords);
-  const std::size_t used =
-      parallel::in_parallel_region() ? 1 : std::min(slots.size(), chunks);
+  // One word per chunk. Only the slots parallel_for hands work to get
+  // scratch: at most one per word, and just the caller's when this runs
+  // nested in another region (inline).
+  const std::size_t used = parallel::in_parallel_region()
+                               ? 1
+                               : std::clamp<std::size_t>(W, 1, slots.size());
   for (std::size_t s = 0; s < used; ++s) slots[s]->prepare_index_scratch();
   const std::vector<int>& fanin_begin = slots.front()->sim_.fanin_begin();
   const std::size_t n = fanin_begin.size() - 1;
@@ -459,7 +464,7 @@ void ScanBatchSimT<V>::build_excitation_index(
   good.exc_pin_obs0.assign(entries * W, 0);
   good.exc_x.assign(W, 0);
   parallel::parallel_for(
-      W, kChunkWords, static_cast<int>(used),
+      W, 1, static_cast<int>(used),
       [&](int slot, std::size_t lo, std::size_t hi) {
         slots[static_cast<std::size_t>(slot)]->sweep_index_words(good, lo, hi);
       });
@@ -500,7 +505,7 @@ void ScanBatchSimT<V>::sweep_index_words(GoodTraceT<V>& good,
   const int* const fanins = sim_.fanins().data();
   const std::size_t n = types.size();
   const std::size_t rows = good.active.size();
-  const std::size_t W = good.exc_words;
+  const std::size_t entries = static_cast<std::size_t>(pin_base[n]);
   // S[g] = per-lane sensitivity of g's FFR head to g, valid for the cycle
   // being swept: an interior gate's unique fanout has a higher id (the
   // netlist is topological), so the descending sweep writes S[g] before g
@@ -524,7 +529,7 @@ void ScanBatchSimT<V>::sweep_index_words(GoodTraceT<V>& good,
     for (std::size_t gi = n; gi-- > 0;) {
       const V Sg = is_head[gi] ? active : S[gi];
       const V v = row[gi];
-      const std::size_t at = gi * W + w;
+      const std::size_t at = w * n + gi;
       if (Lanes::any(v & active)) good.exc_any1[at] |= bit;
       if (Lanes::any(~v & active)) good.exc_any0[at] |= bit;
       const std::size_t begin = static_cast<std::size_t>(pin_base[gi]);
@@ -542,7 +547,7 @@ void ScanBatchSimT<V>::sweep_index_words(GoodTraceT<V>& good,
       if (Lanes::any(v & Sg)) good.exc_obs1[at] |= bit;
       if (Lanes::any(~v & Sg)) good.exc_obs0[at] |= bit;
       if (k == 0) continue;
-      const std::size_t pin_at = begin * W + w;
+      const std::size_t pin_at = w * entries + begin;
       // Per-pin work (two-valued; X cycles never reach this sweep):
       //  - pin observability bits: a stuck pin deviates the gate where its
       //    driver disagrees with the stuck value AND the pin is locally
@@ -552,8 +557,8 @@ void ScanBatchSimT<V>::sweep_index_words(GoodTraceT<V>& good,
       //    S_fanin = S_g AND the pin's local sensitivity.
       const auto emit = [&](std::size_t p, const V& reach) {
         const V vd = row[fan[p]];
-        if (Lanes::any(vd & reach)) good.exc_pin_obs1[pin_at + p * W] |= bit;
-        if (Lanes::any(~vd & reach)) good.exc_pin_obs0[pin_at + p * W] |= bit;
+        if (Lanes::any(vd & reach)) good.exc_pin_obs1[pin_at + p] |= bit;
+        if (Lanes::any(~vd & reach)) good.exc_pin_obs0[pin_at + p] |= bit;
         const std::size_t f = static_cast<std::size_t>(fan[p]);
         if (!is_head[f]) S[f] = reach;
       };
@@ -603,18 +608,22 @@ const std::uint64_t* ScanBatchSimT<V>::candidate_bits(
     const GoodTraceT<V>& good, const FaultSpec& fault) {
   if (!good.exc_built) return nullptr;
   const std::size_t W = good.exc_words;
+  // Word-major index: a gate's (or fanin entry's) bitset is one word per
+  // block, so consecutive words are one block stride apart.
+  const std::size_t gates = good.exc_pin_base.size() - 1;
+  const std::size_t entries = good.exc_pin_base.back();
   scratch_cand_.assign(W, 0);
   const auto any1 = [&](int g) {
-    return good.exc_any1.data() + static_cast<std::size_t>(g) * W;
+    return good.exc_any1.data() + static_cast<std::size_t>(g);
   };
   const auto any0 = [&](int g) {
-    return good.exc_any0.data() + static_cast<std::size_t>(g) * W;
+    return good.exc_any0.data() + static_cast<std::size_t>(g);
   };
   const auto obs1 = [&](int g) {
-    return good.exc_obs1.data() + static_cast<std::size_t>(g) * W;
+    return good.exc_obs1.data() + static_cast<std::size_t>(g);
   };
   const auto obs0 = [&](int g) {
-    return good.exc_obs0.data() + static_cast<std::size_t>(g) * W;
+    return good.exc_obs0.data() + static_cast<std::size_t>(g);
   };
   switch (fault.kind) {
     case FaultSpec::Kind::kNone:
@@ -627,7 +636,7 @@ const std::uint64_t* ScanBatchSimT<V>::candidate_bits(
       const std::uint64_t* sel =
           fault.value ? obs0(fault.gate) : obs1(fault.gate);
       for (std::size_t w = 0; w < W; ++w)
-        scratch_cand_[w] = sel[w] | good.exc_x[w];
+        scratch_cand_[w] = sel[w * gates] | good.exc_x[w];
       return scratch_cand_.data();
     }
     case FaultSpec::Kind::kStuckPin: {
@@ -640,9 +649,9 @@ const std::uint64_t* ScanBatchSimT<V>::candidate_bits(
           static_cast<std::size_t>(fault.gate2_or_pin);
       const std::uint64_t* sel =
           (fault.value ? good.exc_pin_obs0.data() : good.exc_pin_obs1.data()) +
-          entry * W;
+          entry;
       for (std::size_t w = 0; w < W; ++w)
-        scratch_cand_[w] = sel[w] | good.exc_x[w];
+        scratch_cand_[w] = sel[w * entries] | good.exc_x[w];
       return scratch_cand_.data();
     }
     case FaultSpec::Kind::kBridge: {
@@ -662,9 +671,10 @@ const std::uint64_t* ScanBatchSimT<V>::candidate_bits(
       const std::uint64_t* oa = fault.value ? any1(a) : any0(a);
       const std::uint64_t* ob = fault.value ? any1(b) : any0(b);
       for (std::size_t w = 0; w < W; ++w) {
-        const std::uint64_t dev_a = da[w] & ob[w];  // line a can deviate
-        const std::uint64_t dev_b = db[w] & oa[w];  // line b can deviate
-        scratch_cand_[w] = (sa[w] & ob[w]) | (sb[w] & oa[w]) |
+        const std::size_t at = w * gates;
+        const std::uint64_t dev_a = da[at] & ob[at];  // line a can deviate
+        const std::uint64_t dev_b = db[at] & oa[at];  // line b can deviate
+        scratch_cand_[w] = (sa[at] & ob[at]) | (sb[at] & oa[at]) |
                            (dev_a & dev_b) | good.exc_x[w];
       }
       return scratch_cand_.data();

@@ -151,7 +151,7 @@ TEST(FaultSimParallel, EventDrivenMatchesReference) {
   // Long tests among 63 short ones, short enough for the scalar reference
   // under TSan. One two-valued long test is time-sliced. The X-bearing one
   // and a pair of two-valued ones keep their batch whole: its index build
-  // forks (576 cycles are 9 words, two 8-word chunks), and only the active
+  // forks (576 cycles are 9 words, one per chunk), and only the active
   // lanes may make a tail cycle a candidate.
   struct Shape {
     const char* label;
@@ -179,24 +179,51 @@ TEST(FaultSimParallel, ExcitationIndexIsTheSameForAnySlotCount) {
     slots.push_back(owned.back().get());
   }
   const std::span<ScanBatchSim* const> all(slots);
-  for (const bool with_x : {false, true}) {
-    SCOPED_TRACE(with_x ? "X-bearing" : "two-valued");
-    // 4,500 cycles: 71 words, nine 8-word chunks, so all 8 slots sweep.
-    const std::vector<ScanPattern> batch =
-        to_scan_patterns(long_and_short_tests(circuit, 4500, with_x));
+  // 64 tests of 335 cycles: every lane active for 6 words, the shape of a
+  // time-sliced batch (rie's chained test cut into 64 segments).
+  Rng rng(0x51ce);
+  TestSet segments;
+  for (int t = 0; t < 64; ++t) {
+    FunctionalTest test;
+    test.init_state = static_cast<int>(rng.below(1u << circuit.num_sv));
+    for (int c = 0; c < 335; ++c)
+      test.inputs.push_back(
+          static_cast<std::uint32_t>(rng.below(1u << circuit.num_pi)));
+    segments.tests.push_back(std::move(test));
+  }
+  struct Shape {
+    const char* label;
+    TestSet tests;
+    bool with_x;
+    std::size_t words;
+  };
+  // One word per chunk: over 2, 3 and 8 slots, 6 and 9 words give even
+  // splits, uneven ones and slots left without a word; 71 words keep all
+  // 8 slots busy.
+  const Shape shapes[] = {
+      {"64 lanes, 6 words", segments, false, 6},
+      {"9 words", long_and_short_tests(circuit, 530, false), false, 9},
+      {"two-valued, 71 words", long_and_short_tests(circuit, 4500, false),
+       false, 71},
+      {"X-bearing, 71 words", long_and_short_tests(circuit, 4500, true), true,
+       71},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.label);
+    const std::vector<ScanPattern> batch = to_scan_patterns(shape.tests);
     const GoodTrace base = slots[0]->run_good(batch);
-    ASSERT_EQ(base.has_x, with_x);
+    ASSERT_EQ(base.has_x, shape.with_x);
     GoodTrace serial = base;
     ScanBatchSim::build_excitation_index(serial, all.first(1));
-    ASSERT_EQ(serial.exc_words, 71u);
-    if (with_x) {
+    ASSERT_EQ(serial.exc_words, shape.words);
+    if (shape.with_x) {
       // Both kinds of cycle inside the sweep: X cycles and clean ones.
       std::size_t x_cycles = 0;
       for (std::uint64_t w : serial.exc_x) x_cycles += std::popcount(w);
       EXPECT_GT(x_cycles, 0u);
       EXPECT_LT(x_cycles, base.active.size() / 2);
     }
-    for (const std::size_t threads : {1u, 2u, 8u}) {
+    for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       GoodTrace good = base;
       ScanBatchSim::build_excitation_index(good, all.first(threads));
