@@ -19,6 +19,16 @@ struct CompactionResult {
   }
 };
 
+/// One fault list's compaction result from its first detecting tests:
+/// `detected_by[f]` indexes `ordered_tests` (-1 = undetected). A test is
+/// effective iff it first-detects a fault of this list. A fault's first
+/// detecting test depends only on the fault-free run of the tests, so one
+/// simulation of several concatenated lists cuts back into each list's
+/// result exactly, slice by slice.
+CompactionResult compaction_from_detections(TestSet ordered_tests,
+                                            std::vector<int> detected_by,
+                                            bool complete);
+
 /// Order tests by decreasing length, fault-simulate with dropping, keep the
 /// effective ones. The premise (paper, Section 2): longer tests detect more
 /// faults, so simulating them first discards many short tests — every

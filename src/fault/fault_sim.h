@@ -48,9 +48,10 @@ struct FaultSimOptions {
   /// detections are reduced on the caller in fault order.
   int threads = -1;
   /// Optional precomputed forward_reachability(circuit.comb) matrix.
-  /// Callers simulating several fault sets over the same netlist (stuck-at
-  /// then bridging, as in Table 6) compute it once and pass it here; null
-  /// means compute it internally.
+  /// Callers that need it for more than one pass over the same netlist
+  /// (Table 6 simulates its stuck-at and bridging lists, then re-checks the
+  /// misses for redundancy) compute it once and pass it here; null means
+  /// compute it internally.
   const std::vector<BitVec>* reachability = nullptr;
 };
 

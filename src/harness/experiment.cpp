@@ -217,37 +217,47 @@ GateLevelResult gate_level(const CircuitExperiment& exp, const TestSet& tests,
   sim_options.threads = options.threads;
   sim_options.reachability = &reach;
   robust::RunGuard guard(options.budget, "fault_sim.batch");
-  // Simulates the faults the static verdicts leave unproven (all of them
-  // without a pre-flight) and maps the result back onto the whole list, so
-  // a pruned fault reads as undetected.
-  const auto simulate = [&](const char* stage,
-                            const std::vector<FaultSpec>& faults,
-                            const analysis::FaultAnalysis& statics_result) {
-    std::vector<FaultSpec> unproven;
-    std::vector<std::size_t> index;
-    for (std::size_t f = 0; f < statics_result.verdict.size(); ++f) {
-      if (statics_result.verdict[f] == analysis::FaultVerdict::kUnknown) {
-        unproven.push_back(faults[f]);
-        index.push_back(f);
-      }
+  // One simulation of the stuck-at list followed by the bridging list, so
+  // every batch's good trace and index serve both. It covers the faults the
+  // static verdicts leave unproven (all of them without a pre-flight);
+  // `origin` maps each back onto the two lists, where a pruned fault reads
+  // as undetected.
+  const std::size_t total = result.sa_faults.size() + result.br_faults.size();
+  std::vector<FaultSpec> simulated;
+  std::vector<std::size_t> origin;
+  simulated.reserve(total);
+  origin.reserve(total);
+  const auto add_unproven = [&](const std::vector<FaultSpec>& faults,
+                                const analysis::FaultAnalysis& verdicts,
+                                std::size_t offset) {
+    for (std::size_t f = 0; f < faults.size(); ++f) {
+      if (!verdicts.verdict.empty() &&
+          verdicts.verdict[f] != analysis::FaultVerdict::kUnknown)
+        continue;
+      simulated.push_back(faults[f]);
+      origin.push_back(offset + f);
     }
-    const std::vector<FaultSpec>& simulated =
-        statics_result.verdict.empty() ? faults : unproven;
-    obs::StageScope scope(stage, std::to_string(simulated.size()) + " faults");
-    CompactionResult r =
-        select_effective_tests(circuit, tests, simulated, guard, sim_options);
-    if (!r.sim.complete) throw BudgetError(guard.status().message());
-    if (!statics_result.verdict.empty()) {
-      std::vector<int> detected_by(faults.size(), -1);
-      for (std::size_t k = 0; k < index.size(); ++k)
-        detected_by[index[k]] = r.sim.detected_by[k];
-      r.sim.detected_by = std::move(detected_by);
-      r.sim.total_faults = faults.size();
-    }
-    return r;
   };
-  result.sa = simulate("gate_level.stuck_at", result.sa_faults, sa_static);
-  result.br = simulate("gate_level.bridging", result.br_faults, br_static);
+  add_unproven(result.sa_faults, sa_static, 0);
+  add_unproven(result.br_faults, br_static, result.sa_faults.size());
+  CompactionResult merged;
+  {
+    obs::StageScope scope("gate_level.fault_sim",
+                          std::to_string(simulated.size()) + " faults");
+    merged =
+        select_effective_tests(circuit, tests, simulated, guard, sim_options);
+    if (!merged.sim.complete) throw BudgetError(guard.status().message());
+  }
+  std::vector<int> detected_by(total, -1);
+  for (std::size_t k = 0; k < origin.size(); ++k)
+    detected_by[origin[k]] = merged.sim.detected_by[k];
+  const auto split = detected_by.begin() +
+                     static_cast<std::ptrdiff_t>(result.sa_faults.size());
+  result.sa = compaction_from_detections(
+      merged.ordered_tests, std::vector<int>(detected_by.begin(), split), true);
+  result.br = compaction_from_detections(
+      std::move(merged.ordered_tests),
+      std::vector<int>(split, detected_by.end()), true);
 
   if (options.classify_redundancy) {
     // Reuse the compaction pass's simulation: only the misses get the

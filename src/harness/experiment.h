@@ -96,11 +96,11 @@ struct GateLevelOptions {
   /// redundancy classifier, so statically-resolved misses skip the
   /// exhaustive scan.
   bool static_prune = false;
-  /// Bounds the stuck-at and bridging simulations together: one RunGuard
-  /// at site `fault_sim.batch` is shared by both, and BudgetError is thrown
-  /// if either stops early (partial coverage would under-report). Fault
-  /// enumeration, static pruning and redundancy classification are not
-  /// budgeted.
+  /// Bounds the one simulation of the stuck-at list followed by the
+  /// bridging list: one RunGuard at site `fault_sim.batch`, and BudgetError
+  /// is thrown if it stops early (partial coverage would under-report).
+  /// Fault enumeration, static pruning and redundancy classification are
+  /// not budgeted.
   robust::Budget budget;
 };
 

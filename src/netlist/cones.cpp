@@ -37,20 +37,18 @@ ConePartition fanout_free_cones(const Netlist& nl) {
   }
 
   // Dense cone ids ordered by ascending head id (canonical for a given
-  // netlist), then member/size fill.
+  // netlist), then member fill.
   for (int id = 0; id < n; ++id) {
     if (part.head[static_cast<std::size_t>(id)] == id) {
       part.cone_id[static_cast<std::size_t>(id)] =
           static_cast<int>(part.cone_head.size());
       part.cone_head.push_back(id);
-      part.cone_size.push_back(0);
     }
   }
   for (int id = 0; id < n; ++id) {
     const int h = part.head[static_cast<std::size_t>(id)];
-    const int cid = part.cone_id[static_cast<std::size_t>(h)];
-    part.cone_id[static_cast<std::size_t>(id)] = cid;
-    ++part.cone_size[static_cast<std::size_t>(cid)];
+    part.cone_id[static_cast<std::size_t>(id)] =
+        part.cone_id[static_cast<std::size_t>(h)];
   }
   return part;
 }

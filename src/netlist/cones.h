@@ -23,8 +23,6 @@ struct ConePartition {
   std::vector<int> cone_id;
   /// cone_head[i] = head gate id of cone i (ascending).
   std::vector<int> cone_head;
-  /// cone_size[i] = number of gates in cone i (>= 1).
-  std::vector<int> cone_size;
 
   int num_cones() const { return static_cast<int>(cone_head.size()); }
 };

@@ -47,4 +47,10 @@ done
 # this script also runs under the sanitizer presets, so rie gets the
 # --threads rows only.
 check rie "--threads 0" "--threads 1" "--threads 3" "--threads 8"
+# dk16's longest test is the heaviest sliced continuation: its segment
+# start states take 21 fixpoint rounds, and 1,005 faults continue past a
+# diverged segment. Its static prune leaves 10 bridging faults out, so the
+# bridging list's offset into the one simulated list moves under pruning.
+check dk16 "--threads 0" "--threads 1" "--threads 3" "--threads 8" \
+      "--static-prune"
 echo "fstg sim reports are flag-invariant"

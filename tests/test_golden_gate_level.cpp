@@ -4,16 +4,22 @@
 // so a change to the fault-simulation engine that moves a single detection
 // or first-detecting test fails here. The same run checks the paper's
 // claims on the full suite: Table 6's complete coverage of detectable
-// faults and Table 7's effective subsets at or below the per-transition
-// cycle count. On a digest mismatch the test prints the whole file as the
-// current code computes it; a deliberate change replaces the committed
-// file with that text.
+// faults, Table 7's effective subsets at or below the per-transition
+// cycle count, and the full functional test set at or below it too unless
+// Table 8's rule selects the circuit, whose tests generated without
+// transfer sequences must then be; the selection itself is pinned to the
+// four circuits EXPERIMENTS.md records. On a digest mismatch the test prints
+// the whole file as the current code computes it; a deliberate change
+// replaces the committed file with that text.
 
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "atpg/cycles.h"
 #include "base/store/hash.h"
 #include "harness/experiment.h"
 #include "harness/tables.h"
@@ -41,6 +47,9 @@ std::string digest(const std::vector<bool>& test_effective) {
 }
 
 TEST(GoldenGateLevel, DetectionsMatchCommittedDigests) {
+  ExperimentOptions no_transfer;
+  no_transfer.gen.transfer_max_length = 0;
+  std::vector<std::string> table8;
   std::ostringstream computed;
   for (const std::string& name : benchmark_names()) {
     SCOPED_TRACE(name);
@@ -56,7 +65,21 @@ TEST(GoldenGateLevel, DetectionsMatchCommittedDigests) {
     const Table7Row t7 = compute_table7_row(exp, gate);
     EXPECT_LE(t7.sa_percent, 100.0);
     EXPECT_LE(t7.br_percent, 100.0);
+    // The full functional set takes at most the per-transition cycles,
+    // except where Table 8's rule (bench/table8_no_transfer.cpp: 100% or
+    // more) selects the circuit; its tests generated without transfer
+    // sequences must then take at most 100%.
+    const int sv = exp.synth.circuit.num_sv;
+    if (test_application_cycles(sv, exp.gen.tests) >=
+        per_transition_cycles(sv, exp.table.num_transitions())) {
+      table8.push_back(name);
+      EXPECT_LE(compute_table8_row(run_circuit(name, no_transfer)).percent,
+                100.0);
+    }
   }
+  // The selection EXPERIMENTS.md records for Table 8.
+  EXPECT_EQ(table8, (std::vector<std::string>{"bbtas", "shiftreg", "tav",
+                                              "train11"}));
   const std::string expected =
       read_file(FSTG_GOLDEN_DIR "/gate_level.digests");
   EXPECT_EQ(expected, computed.str())

@@ -190,9 +190,10 @@ TEST(ObsPipeline, RunFsmEmitsStageSpans) {
 }
 
 TEST(ObsPipeline, SimTraceNamesFaultFreePhases) {
-  // What `fstg sim` runs: the pipeline up to the read-back, then the
-  // simulation of a test file. Each batch's good trace and excitation
-  // index get their own spans; generation is not part of it.
+  // What `fstg sim` runs: the pipeline up to the read-back, then one
+  // simulation of the stuck-at and bridging lists of a test file. Each
+  // batch's good trace and excitation index get their own spans;
+  // generation is not part of it.
   const TestFile file = test_file_for(run_circuit("lion"));
   obs::start_tracing();
   const CircuitExperiment exp = implement_fsm(load_benchmark("lion"));
@@ -202,19 +203,24 @@ TEST(ObsPipeline, SimTraceNamesFaultFreePhases) {
   ASSERT_TRUE(obs::check_json("fstg_trace", json, nullptr, &error)) << error;
   for (const char* span :
        {"\"verify.readback\"", "\"fault_sim.run\"", "\"fault_sim.good_trace\"",
-        "\"fault_sim.excitation_index\"", "\"gate_level.stuck_at\"",
-        "\"gate_level.bridging\""}) {
+        "\"fault_sim.excitation_index\"", "\"gate_level.fault_sim\""}) {
     EXPECT_NE(json.find(span), std::string::npos) << "missing span " << span;
   }
-  EXPECT_EQ(json.find("\"generate\""), std::string::npos);
+  for (const char* span :
+       {"\"generate\"", "\"gate_level.stuck_at\"", "\"gate_level.bridging\""})
+    EXPECT_EQ(json.find(span), std::string::npos) << "unexpected span " << span;
   EXPECT_TRUE(exp.gen.tests.tests.empty());
 }
 
 TEST(ObsPipeline, GateLevelRunFillsFaultSimCounters) {
   obs::reset_metrics();
   CircuitExperiment exp = run_circuit("lion");
+  const std::uint64_t runs_before =
+      obs::snapshot_metrics().counter_value("fault_sim.runs");
   (void)run_gate_level(exp, /*classify_redundancy=*/false);
   const obs::MetricsSnapshot snap = obs::snapshot_metrics();
+  // Stuck-at and bridging share one engine run.
+  EXPECT_EQ(snap.counter_value("fault_sim.runs"), runs_before + 1);
   for (const char* name :
        {"fault_sim.runs", "fault_sim.batches", "fault_sim.faults_simulated",
         "fault_sim.faults_dropped", "sim.overlay_calls", "scan.cycles_overlay",

@@ -261,7 +261,7 @@ TEST_F(RobustPipelineTest, SuiteDemotesGateLevelBudgetFailure) {
   EXPECT_EQ(suite.runs[0].status.code(), robust::Code::kBudgetExhausted);
 }
 
-// --- The sim budget bounds both fault simulations ------------------------
+// --- The sim budget bounds the simulation of both fault lists ----------
 
 TEST_F(RobustPipelineTest, SimBudgetBoundsBridgingToo) {
   const CircuitExperiment exp = run_circuit("lion");
@@ -275,10 +275,43 @@ TEST_F(RobustPipelineTest, SimBudgetBoundsBridgingToo) {
   ASSERT_TRUE(sa.sim.complete);
   ASSERT_GT(sa_only.expansions(), 0u);
 
-  // Enough for the stuck-at simulation, not for the bridging one after it.
+  // Enough for the stuck-at list alone, not for the bridging faults that
+  // the same simulation carries.
   GateLevelOptions options;
   options.classify_redundancy = false;
   options.budget.max_expansions = sa_only.expansions() + 1;
+  EXPECT_THROW(simulate_test_file(exp, file, options), BudgetError);
+}
+
+TEST_F(RobustPipelineTest, SimBudgetIsTheSumOfBothLists) {
+  const CircuitExperiment exp = run_circuit("lion");
+  const TestFile file = test_file_for(exp);
+  GateLevelOptions options;
+  options.classify_redundancy = false;
+  const GateLevelResult free = simulate_test_file(exp, file, options);
+  // What each list consumes on its own, each under its own guard.
+  RunGuard sa_only(Budget{}, "fault_sim.batch");
+  ASSERT_TRUE(select_effective_tests(exp.synth.circuit, file.tests,
+                                     free.sa_faults, sa_only)
+                  .sim.complete);
+  RunGuard br_only(Budget{}, "fault_sim.batch");
+  ASSERT_TRUE(select_effective_tests(exp.synth.circuit, file.tests,
+                                     free.br_faults, br_only)
+                  .sim.complete);
+  ASSERT_GT(sa_only.expansions(), 0u);
+  ASSERT_GT(br_only.expansions(), 0u);
+
+  // One simulation of both lists is charged exactly their sum.
+  options.budget.max_expansions = sa_only.expansions() + br_only.expansions();
+  const GateLevelResult budgeted = simulate_test_file(exp, file, options);
+  for (const auto& [a, b] : {std::pair{&free.sa, &budgeted.sa},
+                             std::pair{&free.br, &budgeted.br}}) {
+    EXPECT_TRUE(b->sim.complete);
+    EXPECT_EQ(a->sim.detected_by, b->sim.detected_by);
+    EXPECT_EQ(a->sim.test_effective, b->sim.test_effective);
+    EXPECT_EQ(a->effective_tests.size(), b->effective_tests.size());
+  }
+  options.budget.max_expansions -= 1;
   EXPECT_THROW(simulate_test_file(exp, file, options), BudgetError);
 }
 
