@@ -1,14 +1,15 @@
 #include "atpg/test_io.h"
 
+#include <algorithm>
 #include <charconv>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "base/error.h"
 #include "base/store/fs_util.h"
 #include "base/store/serial.h"
-#include "base/string_util.h"
 
 namespace fstg {
 
@@ -24,7 +25,7 @@ constexpr std::size_t kMaxTests = 100'000'000;
 
 /// Range-checked integer directive argument (see kiss2_parser.cpp for why
 /// from_chars instead of stoi: full-token parse, typed overflow).
-int int_field(const std::string& text, const char* what, int line_no,
+int int_field(std::string_view text, const char* what, int line_no,
               long long lo, long long hi) {
   long long v = 0;
   const char* begin = text.data();
@@ -32,7 +33,7 @@ int int_field(const std::string& text, const char* what, int line_no,
   auto [p, ec] = std::from_chars(begin, end, v);
   if (ec == std::errc::result_out_of_range ||
       (ec == std::errc() && (v < lo || v > hi)))
-    throw ParseError(std::string(what) + " value " + text +
+    throw ParseError(std::string(what) + " value " + std::string(text) +
                          " out of range [" + std::to_string(lo) + ", " +
                          std::to_string(hi) + "]",
                      line_no);
@@ -48,10 +49,10 @@ std::string binary(std::uint32_t v, int bits) {
   return s;
 }
 
-std::uint32_t parse_binary(const std::string& s, int bits, int line) {
+std::uint32_t parse_binary(std::string_view s, int bits, int line) {
   if (static_cast<int>(s.size()) != bits)
-    throw ParseError("field `" + s + "` is not " + std::to_string(bits) +
-                         " bits wide",
+    throw ParseError("field `" + std::string(s) + "` is not " +
+                         std::to_string(bits) + " bits wide",
                      line);
   std::uint32_t v = 0;
   for (int b = 0; b < bits; ++b) {
@@ -59,31 +60,57 @@ std::uint32_t parse_binary(const std::string& s, int bits, int line) {
     if (c == '1')
       v |= 1u << b;
     else if (c != '0')
-      throw ParseError("field `" + s + "` is not binary", line);
+      throw ParseError("field `" + std::string(s) + "` is not binary", line);
   }
   return v;
 }
 
 /// Ternary input field: 0/1/x per bit, MSB first. An 'x' reads as value 0
 /// with the X bit set (the canonical form the simulator uses).
-std::pair<std::uint32_t, std::uint32_t> parse_ternary(const std::string& s,
+std::pair<std::uint32_t, std::uint32_t> parse_ternary(std::string_view s,
                                                       int bits, int line) {
   if (static_cast<int>(s.size()) != bits)
-    throw ParseError("field `" + s + "` is not " + std::to_string(bits) +
-                         " bits wide",
+    throw ParseError("field `" + std::string(s) + "` is not " +
+                         std::to_string(bits) + " bits wide",
                      line);
+  // Branch-free over the bits: input values are random, so a branch per
+  // bit would mispredict half the time.
   std::uint32_t v = 0;
   std::uint32_t x = 0;
+  bool bad = false;
   for (int b = 0; b < bits; ++b) {
     const char c = s[static_cast<std::size_t>(bits - 1 - b)];
-    if (c == '1')
-      v |= 1u << b;
-    else if (c == 'x' || c == 'X')
-      x |= 1u << b;
-    else if (c != '0')
-      throw ParseError("field `" + s + "` is not ternary (0/1/x)", line);
+    const bool one = c == '1';
+    const bool unknown = c == 'x' || c == 'X';
+    v |= static_cast<std::uint32_t>(one) << b;
+    x |= static_cast<std::uint32_t>(unknown) << b;
+    bad |= !one && !unknown && c != '0';
   }
+  if (bad)
+    throw ParseError("field `" + std::string(s) + "` is not ternary (0/1/x)",
+                     line);
   return {v, x};
+}
+
+/// The whitespace-separated tokens of `line` as views into it: the first
+/// three in `tok`, and how many there are in all. Whitespace is the C
+/// locale's isspace set (the program never changes locale).
+std::size_t split_tokens(std::string_view line, std::string_view (&tok)[3]) {
+  const auto space = [](char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  };
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < line.size();) {
+    while (i < line.size() && space(line[i])) ++i;
+    std::size_t j = i;
+    while (j < line.size() && !space(line[j])) ++j;
+    if (j > i) {
+      if (n < 3) tok[n] = line.substr(i, j - i);
+      ++n;
+    }
+    i = j;
+  }
+  return n;
 }
 
 /// Input field with X overrides; an X bit prints 'x' regardless of the
@@ -129,24 +156,28 @@ TestFile parse_test_file(const std::string& text) {
   TestFile file;
   int declared_tests = -1;
   int line_no = 0;
-  std::istringstream in(text);
-  std::string raw;
-  while (std::getline(in, raw)) {
+  // One pass over the buffer: lines, tokens and input fields are views into
+  // it. Lines split as std::getline does: a last line without '\n' counts,
+  // a trailing '\n' starts none.
+  const std::string_view all(text);
+  for (std::size_t at = 0; at < all.size();) {
+    const std::size_t nl = std::min(all.find('\n', at), all.size());
+    std::string_view raw = all.substr(at, nl - at);
+    at = nl + 1;
     ++line_no;
     if (raw.size() > kMaxLineLength)
       throw ParseError("line exceeds " + std::to_string(kMaxLineLength) +
                            " characters",
                        line_no);
-    std::size_t hash = raw.find('#');
-    if (hash != std::string::npos) raw = raw.substr(0, hash);
-    const std::string line{trim(raw)};
-    if (line.empty()) continue;
-    const std::vector<std::string> tok = split_ws(line);
+    raw = raw.substr(0, raw.find('#'));
+    std::string_view tok[3];
+    const std::size_t num_tok = split_tokens(raw, tok);
+    if (num_tok == 0) continue;
 
     if (tok[0][0] == '.') {
-      if (tok.size() < 2) throw ParseError("directive needs an argument", line_no);
+      if (num_tok < 2) throw ParseError("directive needs an argument", line_no);
       if (tok[0] == ".circuit") {
-        file.circuit = tok[1];
+        file.circuit = std::string(tok[1]);
       } else if (tok[0] == ".inputs") {
         file.input_bits = int_field(tok[1], ".inputs", line_no, 1, 31);
       } else if (tok[0] == ".sv") {
@@ -154,36 +185,56 @@ TestFile parse_test_file(const std::string& text) {
       } else if (tok[0] == ".tests") {
         declared_tests = int_field(tok[1], ".tests", line_no, 0, 100'000'000);
       } else {
-        throw ParseError("unknown directive " + tok[0], line_no);
+        throw ParseError("unknown directive " + std::string(tok[0]), line_no);
       }
       continue;
     }
 
     if (file.input_bits <= 0 || file.state_bits <= 0)
       throw ParseError("test row before .inputs/.sv", line_no);
-    if (tok.size() != 3)
+    if (num_tok != 3)
       throw ParseError("expected `init inputs final`", line_no);
 
     FunctionalTest t;
     t.init_state =
         static_cast<int>(parse_binary(tok[0], file.state_bits, line_no));
-    bool any_x = false;
     if (tok[1] != "-") {  // `-` marks an empty input sequence
-      const std::vector<std::string> fields = split_char(tok[1], ',');
-      if (fields.size() > kMaxSequenceLength)
+      const std::string_view seq = tok[1];
+      // A sequence has at most one field more than it has characters, so
+      // only a sequence this long can exceed the bound.
+      if (seq.size() >= kMaxSequenceLength &&
+          static_cast<std::size_t>(std::count(seq.begin(), seq.end(), ',')) +
+                  1 >
+              kMaxSequenceLength)
         throw ParseError("input sequence exceeds " +
                              std::to_string(kMaxSequenceLength) + " cycles",
                          line_no);
-      for (const std::string& field : fields) {
-        const auto [v, x] = parse_ternary(field, file.input_bits, line_no);
+      // Exact for a well-formed row: fields of input_bits plus a comma.
+      const std::size_t cycles =
+          std::min(kMaxSequenceLength,
+                   (seq.size() + 1) /
+                       static_cast<std::size_t>(file.input_bits + 1));
+      t.inputs.reserve(cycles);
+      // Canonical in-memory form: no X anywhere -> empty input_x, so a file
+      // without 'x' parses to tests that compare equal to ATPG-built ones.
+      // The X masks start at the first field that carries an X.
+      std::string_view rest = seq;
+      bool any_x = false;
+      for (;;) {
+        const std::size_t comma = rest.find(',');
+        const auto [v, x] =
+            parse_ternary(rest.substr(0, comma), file.input_bits, line_no);
+        if (x != 0 && !any_x) {
+          any_x = true;
+          t.input_x.reserve(cycles);
+          t.input_x.assign(t.inputs.size(), 0u);
+        }
         t.inputs.push_back(v);
-        t.input_x.push_back(x);
-        any_x = any_x || x != 0;
+        if (any_x) t.input_x.push_back(x);
+        if (comma == std::string_view::npos) break;
+        rest.remove_prefix(comma + 1);
       }
     }
-    // Canonical in-memory form: no X anywhere -> empty input_x, so a file
-    // without 'x' parses to tests that compare equal to ATPG-built ones.
-    if (!any_x) t.input_x.clear();
     t.final_state =
         static_cast<int>(parse_binary(tok[2], file.state_bits, line_no));
     if (file.tests.size() >= kMaxTests)

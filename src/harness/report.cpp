@@ -70,9 +70,11 @@ Report build_report(const std::vector<store::RunRecord>& records,
       rs.baseline_ms = s.ms;
     }
     for (const store::RunStage& s : latest->stages) {
-      ReportStage& rs = stages[s.stage];
+      const auto [it, added] = stages.try_emplace(s.stage);
+      ReportStage& rs = it->second;
       rs.stage = s.stage;
       rs.latest_ms = s.ms;
+      if (added) rs.added = true;
     }
     for (auto& [name, rs] : stages) {
       if (rs.baseline_ms > 0.0)
@@ -80,9 +82,10 @@ Report build_report(const std::vector<store::RunRecord>& records,
             (rs.latest_ms - rs.baseline_ms) / rs.baseline_ms * 100.0;
       rs.watched = is_watched(name, report.watched);
       // Comparing a run against itself can never regress — a one-run
-      // ledger is a baseline, not a trend.
+      // ledger is a baseline, not a trend — and neither can a stage the
+      // baseline lacks.
       rs.regressed =
-          rs.watched && latest->run != baseline->run &&
+          rs.watched && !rs.added && latest->run != baseline->run &&
           rs.latest_ms >
               rs.baseline_ms * (1.0 + options.threshold_pct / 100.0) +
                   options.slack_ms;
@@ -143,11 +146,14 @@ std::string report_to_text(const Report& report) {
       std::ostringstream delta;
       delta.precision(1);
       delta << std::fixed << std::showpos << rs.delta_pct;
+      const char* flag = rs.regressed ? "REGRESSED"
+                         : rs.added   ? "new"
+                         : rs.watched ? "watched"
+                                      : "";
       table.add_row({rc.circuit.empty() ? "-" : rc.circuit, rs.stage,
                      TablePrinter::num(rs.baseline_ms),
-                     TablePrinter::num(rs.latest_ms), delta.str(),
-                     rs.regressed ? "REGRESSED"
-                                  : (rs.watched ? "watched" : "")});
+                     TablePrinter::num(rs.latest_ms),
+                     rs.added ? "-" : delta.str(), flag});
     }
   }
   table.print(os);

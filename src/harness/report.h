@@ -39,6 +39,9 @@ struct ReportStage {
   double latest_ms = 0.0;
   double delta_pct = 0.0;  ///< 0 when baseline_ms == 0
   bool watched = false;
+  /// Absent from the baseline run (a renamed or added stage): it has no
+  /// trend yet, so it is reported "new" and never regresses.
+  bool added = false;
   bool regressed = false;
 };
 

@@ -69,8 +69,8 @@ struct ScanSimStats {
 /// When any pattern in the batch carries X bits, `has_x` is set — but the
 /// per-cycle X planes are stored only for the cycles that actually carry X:
 /// `cycle_x[c]` is the per-cycle "any-X" summary, and for cycles where it is
-/// zero the `po_x[c]` / `gate_x[c]` / `state_x_at[c]` vectors stay empty
-/// (meaning: all-defined). Since most batches are fully defined and even
+/// zero the `po_x[c]` / `gate_x[c]` vectors stay empty (meaning:
+/// all-defined). Since most batches are fully defined and even
 /// X-bearing batches usually go X-free after a few cycles, the common case
 /// touches only the value plane. When `has_x` is false none of the *_x
 /// structures are populated at all and the simulation is exactly the
@@ -83,13 +83,12 @@ struct GoodTraceT {
   std::vector<V> active;
   std::vector<std::uint32_t> final_state;
   int num_lanes = 0;
-  /// Fault-free value of every gate at every cycle ([cycle][gate]), and the
-  /// fault-free per-lane state entering each cycle ([cycle][lane]). These
-  /// power the single-fault-propagation fast path: while the faulty
-  /// machine's state still equals the fault-free state, only the fault's
-  /// output cone needs re-evaluation.
+  /// Fault-free value of every gate at every cycle ([cycle][gate]). A row
+  /// holds the cycle's inputs (primary inputs and the state entering the
+  /// cycle) and its outputs (primary outputs and next state) as lane words,
+  /// so it is both the base of the event-driven overlay and the source a
+  /// diverged faulty cycle loads its inputs from.
   std::vector<std::vector<V>> gate_values;
-  std::vector<std::vector<std::uint32_t>> state_at;
 
   /// Set by the fault-simulation engine on a time-sliced batch: the lanes
   /// are the consecutive segments of one two-valued test, each starting
@@ -104,7 +103,6 @@ struct GoodTraceT {
   std::vector<std::uint8_t> cycle_x;
   std::vector<std::vector<V>> po_x;
   std::vector<std::vector<V>> gate_x;
-  std::vector<std::vector<std::uint32_t>> state_x_at;
   std::vector<std::uint32_t> final_state_x;
 
   /// --- Excitation/observability index (event-driven fast path) ------------
@@ -160,10 +158,6 @@ struct GoodTraceT {
   /// Fault-free gate X plane of cycle c, or nullptr when fully defined.
   const V* gate_x_of(std::size_t c) const {
     return cycle_has_x(c) ? gate_x[c].data() : nullptr;
-  }
-  /// X mask of the state entering cycle c for lane l (0 for clean cycles).
-  std::uint32_t state_x_at_of(std::size_t c, std::size_t l) const {
-    return cycle_has_x(c) ? state_x_at[c][l] : 0u;
   }
 };
 
@@ -244,12 +238,12 @@ class ScanBatchSimT {
   const LogicSimStats& sim_stats() const { return sim_.stats(); }
 
  private:
-  /// Load per-lane inputs/state (values and X masks) into the simulator for
-  /// cycle `c`.
+  /// run_good's per-lane gather of cycle `c`'s inputs and state (values
+  /// and X masks) into the simulator, and its scatter of the active lanes'
+  /// next states back out.
   void load_cycle(std::span<const ScanPattern> batch,
                   const std::vector<std::uint32_t>& state,
                   const std::vector<std::uint32_t>& state_x, std::size_t c);
-  /// Extract per-lane next states (and their X masks) from the simulator.
   void extract_next_state(std::vector<std::uint32_t>& state,
                           std::vector<std::uint32_t>& state_x, const V& active);
 
@@ -258,12 +252,19 @@ class ScanBatchSimT {
   /// above a detection stop being tracked) and leaves in `end_dirty_` the
   /// tracked lanes below the lowest detection whose faulty end state
   /// differs from the fault-free one in value or X-ness (their end states
-  /// in scratch_state_). Lane `start_lane`, unless -1, enters cycle 0 in
-  /// the two-valued faulty state `start_state` instead of its fault-free
+  /// in fstate_ / fstate_x_). Lane `start_lane`, unless -1, enters cycle 0
+  /// in the two-valued faulty state `start_state` instead of its fault-free
   /// start.
-  V evaluate(std::span<const ScanPattern> batch, const GoodTraceT<V>& good,
-             const FaultSpec& fault, const std::vector<int>* cone, V lanes,
-             int start_lane, std::uint32_t start_state);
+  V evaluate(const GoodTraceT<V>& good, const FaultSpec& fault,
+             const std::vector<int>* cone, V lanes, int start_lane,
+             std::uint32_t start_state);
+  /// Lane `lane`'s bits of bit-sliced state words (bit k from word k).
+  static std::uint32_t lane_state(const std::vector<V>& words, int lane) {
+    std::uint32_t s = 0;
+    for (std::size_t k = 0; k < words.size(); ++k)
+      if (Lanes::test(words[k], lane)) s |= 1u << k;
+    return s;
+  }
   /// run_faulty on a sliced trace: stitch the segments (see run_faulty).
   V run_sliced(std::span<const ScanPattern> segments, const GoodTraceT<V>& good,
                const FaultSpec& fault, const std::vector<int>* cone,
@@ -301,12 +302,14 @@ class ScanBatchSimT {
   LogicSimT<V> sim_;
   Stats stats_;
   // Per-fault scratch (member state so the hot fault loop never allocates).
-  std::vector<std::uint32_t> scratch_state_;
-  std::vector<std::uint32_t> scratch_state_x_;
+  // The tracked faulty state is bit-sliced, one value and one X word per
+  // state variable (see evaluate).
+  std::vector<V> fstate_;
+  std::vector<V> fstate_x_;
   std::vector<std::uint64_t> scratch_cand_;
   std::vector<int> scratch_po_cone_;
   std::vector<int> scratch_sv_cone_;
-  std::vector<std::uint32_t> scratch_ends_;  // a sliced first pass's ends
+  std::vector<V> scratch_ends_;  // a sliced first pass's fstate_
   V end_dirty_ = Lanes::zero();
   // Index-sweep scratch (prepare_index_scratch): FFR head flags, the
   // per-cycle head sensitivity S, and the AND/OR prefix/suffix products.
@@ -390,7 +393,6 @@ GoodTraceT<V> ScanBatchSimT<V>::run_good(std::span<const ScanPattern> batch) {
   trace.po.reserve(max_len);
   trace.active.reserve(max_len);
   trace.gate_values.reserve(max_len);
-  trace.state_at.reserve(max_len);
 
   std::vector<std::uint32_t> state(batch.size());
   std::vector<std::uint32_t> state_x(batch.size(), 0);
@@ -402,7 +404,6 @@ GoodTraceT<V> ScanBatchSimT<V>::run_good(std::span<const ScanPattern> batch) {
     for (std::size_t l = 0; l < batch.size(); ++l)
       if (c < batch[l].inputs.size()) Lanes::set(active, static_cast<int>(l));
 
-    trace.state_at.push_back(state);
     load_cycle(batch, state, state_x, c);
     sim_.run();
     // Bit-packed X plane: the per-cycle summary decides whether this
@@ -412,8 +413,6 @@ GoodTraceT<V> ScanBatchSimT<V>::run_good(std::span<const ScanPattern> batch) {
     const bool cx = trace.has_x && sim_.last_run_had_x();
     if (trace.has_x) {
       trace.cycle_x.push_back(cx ? 1 : 0);
-      trace.state_x_at.push_back(cx ? state_x
-                                    : std::vector<std::uint32_t>{});
       trace.gate_x.push_back(cx ? sim_.xvals() : std::vector<V>{});
     }
     trace.gate_values.push_back(sim_.values());
@@ -692,9 +691,8 @@ V ScanBatchSimT<V>::run_faulty(std::span<const ScanPattern> batch,
   require(static_cast<int>(batch.size()) == good.num_lanes,
           "batch/trace size mismatch");
   if (good.sliced) return run_sliced(batch, good, fault, cone, guard);
-  V detected =
-      evaluate(batch, good, fault, cone,
-               Lanes::low_mask(static_cast<int>(batch.size())), -1, 0);
+  V detected = evaluate(good, fault, cone,
+                        Lanes::low_mask(static_cast<int>(batch.size())), -1, 0);
 
   // Scan-out comparison of the final state. Clean lanes track the good
   // trace by construction, so only the diverged lanes can differ; lanes at
@@ -703,8 +701,8 @@ V ScanBatchSimT<V>::run_faulty(std::span<const ScanPattern> batch,
   // that is X on either side is not a detection.
   for_each_lane(end_dirty_, [&](int li) {
     const std::size_t l = static_cast<std::size_t>(li);
-    std::uint32_t mismatch = scratch_state_[l] ^ good.final_state[l];
-    mismatch &= ~scratch_state_x_[l];
+    std::uint32_t mismatch = lane_state(fstate_, li) ^ good.final_state[l];
+    mismatch &= ~lane_state(fstate_x_, li);
     if (good.has_x) mismatch &= ~good.final_state_x[l];
     if (mismatch != 0) Lanes::set(detected, li);
   });
@@ -725,14 +723,13 @@ V ScanBatchSimT<V>::run_sliced(std::span<const ScanPattern> segments,
   // First pass: every segment from its fault-free start. `first_det` is
   // the lowest segment that detects if it is exact; the segments that end
   // diverged below it were all tracked to their ends.
-  const V po = evaluate(segments, good, fault, cone,
-                        Lanes::low_mask(last + 1), -1, 0);
+  const V po = evaluate(good, fault, cone, Lanes::low_mask(last + 1), -1, 0);
   const V det = po | (end_dirty_ & last_lane);
   const int first_det = Lanes::any(det) ? Lanes::first_lane(det) : last + 1;
   const V diverged = end_dirty_ & ~last_lane;
   if (Lanes::none(diverged))
     return first_det <= last ? test_detects : Lanes::zero();
-  scratch_ends_ = scratch_state_;
+  scratch_ends_ = fstate_;
   ++stats_.continued_faults;
 
   // First-pass outcomes are exact from segment `exact_from` on, up to the
@@ -747,19 +744,18 @@ V ScanBatchSimT<V>::run_sliced(std::span<const ScanPattern> segments,
     if (Lanes::none(ahead))
       return first_det <= last ? test_detects : Lanes::zero();
     int j = Lanes::first_lane(ahead);
-    std::uint32_t from = scratch_ends_[static_cast<std::size_t>(j)];
+    std::uint32_t from = lane_state(scratch_ends_, j);
     bool dirty = true;
     for (++j;; ++j) {
       if (guard != nullptr && !guard->tick()) return Lanes::zero();
       V lane = Lanes::zero();
       Lanes::set(lane, j);
-      if (Lanes::any(evaluate(segments, good, fault, cone, lane,
-                              dirty ? j : -1, from)))
+      if (Lanes::any(evaluate(good, fault, cone, lane, dirty ? j : -1, from)))
         return test_detects;
       dirty = Lanes::any(end_dirty_);
       if (j == last) return dirty ? test_detects : Lanes::zero();
       if (dirty) {
-        from = scratch_state_[static_cast<std::size_t>(j)];
+        from = lane_state(fstate_, j);
       } else if (j + 1 <= first_det) {
         exact_from = j + 1;
         break;
@@ -769,31 +765,36 @@ V ScanBatchSimT<V>::run_sliced(std::span<const ScanPattern> segments,
 }
 
 template <class V>
-V ScanBatchSimT<V>::evaluate(std::span<const ScanPattern> batch,
-                             const GoodTraceT<V>& good, const FaultSpec& fault,
+V ScanBatchSimT<V>::evaluate(const GoodTraceT<V>& good, const FaultSpec& fault,
                              const std::vector<int>* cone, V lanes,
                              int start_lane, std::uint32_t start_state) {
   V detected = Lanes::zero();
+  const int num_pi = circuit_->num_pi;
+  const int num_po = circuit_->num_po;
+  const int num_sv = circuit_->num_sv;
+  const std::vector<int>& ins = circuit_->comb.inputs();
+  const std::vector<int>& outs = circuit_->comb.outputs();
+  const std::size_t sv = static_cast<std::size_t>(num_sv);
+  // a where m is set, b elsewhere.
+  const auto blend = [](const V& m, const V& a, const V& b) {
+    return (a & m) | (b & ~m);
+  };
 
-  // Lazily tracked faulty state: `state[l]` (and its X mask `state_x[l]`)
-  // is meaningful only for lanes in `dirty` (faulty state differs from the
-  // good trace in value or X-ness); every other lane's faulty state IS
-  // good.state_at[c][l]. A fault that never perturbs the state (the
-  // dominant case, thanks to cycle skipping) costs zero per-lane work per
-  // cycle.
-  scratch_state_.assign(batch.size(), 0);
-  scratch_state_x_.assign(batch.size(), 0);
-  std::vector<std::uint32_t>& state = scratch_state_;
-  std::vector<std::uint32_t>& state_x = scratch_state_x_;
+  // Lazily tracked faulty state, bit-sliced: word k of fstate_ (and of its
+  // X mask fstate_x_) holds state variable k of every lane, meaningful only
+  // in the lanes of `dirty` (faulty state differs from the good trace in
+  // value or X-ness); every other lane's faulty state IS the good row's. A
+  // fault that never perturbs the state (the dominant case, thanks to
+  // cycle skipping) costs no state work per cycle.
+  fstate_.assign(sv, Lanes::zero());
+  fstate_x_.assign(sv, Lanes::zero());
   V dirty = Lanes::zero();
   if (start_lane >= 0) {
-    state[static_cast<std::size_t>(start_lane)] = start_state;
+    for (std::size_t k = 0; k < sv; ++k)
+      if ((start_state >> k) & 1u) Lanes::set(fstate_[k], start_lane);
     Lanes::set(dirty, start_lane);
     ++stats_.dirty_activations;
   }
-
-  const int num_po = circuit_->num_po;
-  const int num_sv = circuit_->num_sv;
 
   // Candidate-cycle jumping (build_excitation_index): while no
   // lane has diverged, cycles outside the fault's candidate bitset are
@@ -814,7 +815,6 @@ V ScanBatchSimT<V>::evaluate(std::span<const ScanPattern> batch,
     const int site = fault.gate;
     const int site2 =
         fault.kind == FaultSpec::Kind::kBridge ? fault.gate2_or_pin : -1;
-    const auto& outs = circuit_->comb.outputs();
     for (int k = 0; k < num_po + num_sv; ++k) {
       const int out = outs[static_cast<std::size_t>(k)];
       if (out != site && out != site2 &&
@@ -844,10 +844,13 @@ V ScanBatchSimT<V>::evaluate(std::span<const ScanPattern> batch,
     if (Lanes::none(active))
       break;  // active masks only shrink; nothing left to see
 
-    // Per-cycle X plane (bit-packed: nullptr for the clean cycles even in
-    // an X-bearing batch).
+    // The good row, and its X plane (bit-packed: nullptr for the clean
+    // cycles even in an X-bearing batch).
+    const V* base = good.gate_values[c].data();
     const V* base_x = good.gate_x_of(c);
-    const bool cx = base_x != nullptr;
+    const auto good_x = [base_x](int g) {
+      return base_x == nullptr ? Lanes::zero() : base_x[g];
+    };
 
     if (Lanes::none(dirty & active) && cone != nullptr) {
       // Every tracked lane is in the fault-free state: evaluate against the
@@ -855,7 +858,6 @@ V ScanBatchSimT<V>::evaluate(std::span<const ScanPattern> batch,
       // unexcited cycle (the ~97% case) is decided by the seeding predicate
       // alone — for a stuck-at-gate fault one load and compare — without
       // paying the overlay's epoch/heap setup.
-      const V* base = good.gate_values[c].data();
       if (!sim_.fault_excited(fault, base, base_x)) {
         ++stats_.cycles_skipped;
         continue;  // not excited: outputs and next state match fault-free
@@ -870,79 +872,75 @@ V ScanBatchSimT<V>::evaluate(std::span<const ScanPattern> batch,
       if (Lanes::none(Lanes::below_lowest(detected) & lanes))
         break;  // the lowest tracked lane detected: nothing left to see
       // Lanes whose faulty next state differs from the good next state in
-      // ANY way (value or X-ness) become dirty; materialize their faulty
-      // state bits. Tracking only detectable differences here would lose
+      // ANY way (value or X-ness) become dirty and take their faulty next
+      // state. Tracking only detectable differences here would lose
       // defined->X state transitions and mis-simulate later cycles.
       V ns_diff = Lanes::zero();
       for (int k : scratch_sv_cone_)
         ns_diff |= sim_.overlay_output_any_diff(num_po + k, base, base_x);
       ns_diff &= active;
-      for_each_lane(ns_diff, [&](int l) {
-        std::uint32_t ns = 0;
-        std::uint32_t nsx = 0;
-        for (int k = 0; k < num_sv; ++k) {
-          if (Lanes::test(sim_.overlay_output(num_po + k, base), l))
-            ns |= 1u << k;
-          if (cx &&
-              Lanes::test(sim_.overlay_output_xval(num_po + k, base_x), l))
-            nsx |= 1u << k;
-        }
-        state[static_cast<std::size_t>(l)] = ns;
-        state_x[static_cast<std::size_t>(l)] = nsx;
-      });
+      if (Lanes::none(ns_diff)) continue;
+      for (std::size_t k = 0; k < sv; ++k) {
+        const int out = num_po + static_cast<int>(k);
+        fstate_[k] =
+            blend(ns_diff, sim_.overlay_output(out, base), fstate_[k]);
+        fstate_x_[k] =
+            blend(ns_diff, sim_.overlay_output_xval(out, base_x), fstate_x_[k]);
+      }
       dirty |= ns_diff;
       stats_.dirty_activations +=
           static_cast<std::uint64_t>(Lanes::popcount(ns_diff));
       continue;
     }
 
-    // A diverged (or cone-less) cycle evaluates the whole faulty machine
-    // from the full state vector: materialize clean lanes from the good
-    // trace first.
-    for_each_lane(lanes & ~dirty, [&](int li) {
-      const std::size_t l = static_cast<std::size_t>(li);
-      state[l] = good.state_at[c][l];
-      state_x[l] = good.state_x_at_of(c, l);
-    });
-
+    // A diverged (or cone-less) cycle evaluates the whole faulty machine,
+    // its inputs loaded as words: the primary inputs from the good row, the
+    // state from the good row outside the dirty lanes and from the faulty
+    // state words inside them. A dirty lane can carry an X state bit into
+    // a cycle whose good row is X-free, so the state X words are loaded
+    // whatever the row.
     ++stats_.cycles_full;
-    load_cycle(batch, state, state_x, c);
+    sim_.clear_input_x();
+    for (int b = 0; b < num_pi; ++b) {
+      const int g = ins[static_cast<std::size_t>(b)];
+      sim_.set_input(b, base[g]);
+      if (base_x != nullptr) sim_.set_input_x(b, base_x[g]);
+    }
+    for (std::size_t k = 0; k < sv; ++k) {
+      const int i = num_pi + static_cast<int>(k);
+      const int g = ins[static_cast<std::size_t>(i)];
+      sim_.set_input(i, blend(dirty, fstate_[k], base[g]));
+      sim_.set_input_x(i, blend(dirty, fstate_x_[k], good_x(g)));
+    }
     sim_.run(fault);
     for (int k = 0; k < num_po; ++k) {
-      V diff = sim_.output(k) ^ good.po[c][static_cast<std::size_t>(k)];
+      const int g = outs[static_cast<std::size_t>(k)];
       // Detection requires both responses defined; X on either side masks
       // the lane out for this output.
-      diff &= ~sim_.output_x(k);
-      if (cx) diff &= ~good.po_x[c][static_cast<std::size_t>(k)];
+      const V diff = (sim_.value(g) ^ base[g]) & ~sim_.xval(g) & ~good_x(g);
       detected |= diff & active;
     }
     if (Lanes::none(Lanes::below_lowest(detected) & lanes))
       break;  // the lowest tracked lane detected: nothing left to see
-    extract_next_state(state, state_x, active);
-    // Re-derive the dirty set for active lanes by comparing against the
-    // good next state (inactive lanes keep their bits and their state).
-    const std::vector<std::uint32_t>& next = c + 1 < good.state_at.size()
-                                                 ? good.state_at[c + 1]
-                                                 : good.final_state;
-    const bool next_in_trace = c + 1 < good.state_at.size();
-    for_each_lane(active, [&](int li) {
-      const std::size_t l = static_cast<std::size_t>(li);
-      const std::uint32_t nx =
-          next_in_trace ? good.state_x_at_of(c + 1, l)
-                        : (good.has_x ? good.final_state_x[l] : 0u);
-      const bool differs = state[l] != next[l] || state_x[l] != nx;
-      if (differs) {
-        if (!Lanes::test(dirty, li)) ++stats_.dirty_activations;
-        Lanes::set(dirty, li);
-      } else {
-        if (Lanes::test(dirty, li)) {
-          ++stats_.dirty_clears;
-          V bit = Lanes::zero();
-          Lanes::set(bit, li);
-          dirty &= ~bit;
-        }
-      }
-    });
+    // The good row's next-state outputs are every active lane's good next
+    // state: the active lanes take their faulty next state and are dirty
+    // iff it differs in value or X-ness (inactive lanes keep their bits
+    // and their state).
+    V ns_diff = Lanes::zero();
+    for (std::size_t k = 0; k < sv; ++k) {
+      const int g = outs[static_cast<std::size_t>(num_po) + k];
+      const V v = sim_.value(g);
+      const V x = sim_.xval(g);
+      ns_diff |= (v ^ base[g]) | (x ^ good_x(g));
+      fstate_[k] = blend(active, v, fstate_[k]);
+      fstate_x_[k] = blend(active, x, fstate_x_[k]);
+    }
+    ns_diff &= active;
+    stats_.dirty_activations +=
+        static_cast<std::uint64_t>(Lanes::popcount(ns_diff & ~dirty));
+    stats_.dirty_clears +=
+        static_cast<std::uint64_t>(Lanes::popcount(dirty & active & ~ns_diff));
+    dirty = (dirty & ~active) | ns_diff;
   }
 
   end_dirty_ = dirty & Lanes::below_lowest(detected) & lanes;

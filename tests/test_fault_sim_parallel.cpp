@@ -136,6 +136,8 @@ TEST(FaultSimParallel, SlicedBatchMatchesReference) {
     EXPECT_TRUE(report.ok()) << report.to_string();
     EXPECT_GT(counter_delta(before, "fault_sim.sliced_tests"), 0u);
     EXPECT_GT(counter_delta(before, "fault_sim.continuations"), 0u);
+    // Diverged cycles ran the word-loaded full evaluation.
+    EXPECT_GT(counter_delta(before, "scan.cycles_full"), 0u);
   }
 }
 
@@ -146,8 +148,10 @@ TEST(FaultSimParallel, EventDrivenMatchesReference) {
   w.circuit = exp.synth.circuit;
   w.faults = all_faults(w.circuit);
   w.tests = exp.gen.tests;
+  obs::MetricsSnapshot before = obs::snapshot_metrics();
   difftest::OracleReport report = difftest::run_oracle(w);
   EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_GT(counter_delta(before, "scan.cycles_full"), 0u);
   // Long tests among 63 short ones, short enough for the scalar reference
   // under TSan. One two-valued long test is time-sliced. The X-bearing one
   // and a pair of two-valued ones keep their batch whole: its index build
@@ -164,8 +168,12 @@ TEST(FaultSimParallel, EventDrivenMatchesReference) {
     SCOPED_TRACE(shape.label);
     w.tests = long_and_short_tests(w.circuit, 576, shape.with_x,
                                    shape.long_tests);
+    before = obs::snapshot_metrics();
     report = difftest::run_oracle(w);
     EXPECT_TRUE(report.ok()) << report.to_string();
+    // Every shape runs diverged cycles through the word-loaded full
+    // evaluation, the X-bearing one included.
+    EXPECT_GT(counter_delta(before, "scan.cycles_full"), 0u);
   }
 }
 

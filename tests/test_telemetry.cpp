@@ -563,6 +563,41 @@ TEST(Report, ExplicitBaselineRunIsHonored) {
   EXPECT_TRUE(build_report(records, options, "runs.jsonl").regressed());
 }
 
+TEST(Report, StageMissingFromBaselineIsNewNotRegressed) {
+  // A renamed or added stage has no baseline time. It must read "new", not
+  // a regression of +0.0%.
+  std::vector<store::RunRecord> records;
+  records.push_back(make_record("rie", 10.0, 20.0));
+  records.back().run = 0;
+  records.push_back(make_record("rie", 10.0, 20.0));
+  records.back().run = 1;
+  records.back().stages.push_back({"gate_level.fault_sim", 138.88});
+
+  const Report report = build_report(records, ReportOptions{}, "runs.jsonl");
+  EXPECT_FALSE(report.regressed());
+  EXPECT_EQ(report.regressions, 0u);
+  bool checked = false;
+  for (const ReportStage& s : report.circuits[0].stages)
+    if (s.stage == "gate_level.fault_sim") {
+      checked = true;
+      EXPECT_TRUE(s.watched);
+      EXPECT_FALSE(s.regressed);
+    }
+  EXPECT_TRUE(checked);
+
+  const std::string json = report_to_json(report);
+  std::string error;
+  EXPECT_TRUE(obs::check_json("fstg_report", json, nullptr, &error)) << error;
+  EXPECT_EQ(json.find("\"regressed\": true"), std::string::npos);
+  const std::string text = report_to_text(report);
+  EXPECT_NE(text.find(" new"), std::string::npos);
+  EXPECT_EQ(text.find("REGRESSED"), std::string::npos);
+
+  // The same stage, once the baseline has it, is gated like any other.
+  records.front().stages.push_back({"gate_level.fault_sim", 40.0});
+  EXPECT_TRUE(build_report(records, ReportOptions{}, "runs.jsonl").regressed());
+}
+
 TEST(Report, SingleRunNeverRegresses) {
   std::vector<store::RunRecord> records;
   records.push_back(make_record("bbara", 10.0, 20.0));
