@@ -135,10 +135,12 @@ void compare_counters(const EngineRun& base, const EngineRun& other,
 }
 
 /// Cross-check the word-parallel fault-free trace, lane by lane, against
-/// the scalar reference: PO values, X masks, and scanned-out states.
+/// the scalar reference: PO values and X masks (read off the rows' output
+/// gates), and scanned-out states.
 void check_good_trace(const Workload& w, Reporter& report) {
   const std::vector<ScanPattern> patterns = to_scan_patterns(w.tests);
   if (patterns.empty()) return;
+  const std::vector<int>& outs = w.circuit.comb.outputs();
   ScanBatchSim sim(w.circuit);
   for (std::size_t base = 0; base < patterns.size(); base += 64) {
     const std::size_t width = std::min<std::size_t>(64, patterns.size() - base);
@@ -150,12 +152,13 @@ void check_good_trace(const Workload& w, Reporter& report) {
           reference_good_trace(w.circuit, w.tests.tests[t]);
       const std::string where = "test " + std::to_string(t);
       for (std::size_t c = 0; c < ref.po.size(); ++c) {
+        const Word* row = good.gate_values[c].data();
+        // The X plane is bit-packed: nullptr (all-defined) for X-free cycles.
+        const Word* row_x = good.gate_x_of(c);
         for (int k = 0; k < w.circuit.num_po; ++k) {
-          const std::size_t kk = static_cast<std::size_t>(k);
+          const int g = outs[static_cast<std::size_t>(k)];
           const bool ref_x = (ref.po_x[c] >> k) & 1u;
-          // po_x[c] is bit-packed: empty (all-defined) for X-free cycles.
-          const bool eng_x =
-              good.cycle_has_x(c) && ((good.po_x[c][kk] >> l) & 1u) != 0;
+          const bool eng_x = row_x != nullptr && ((row_x[g] >> l) & 1u) != 0;
           if (ref_x != eng_x) {
             report.add("good_trace_po_x",
                        where + " cycle " + std::to_string(c) + " po " +
@@ -166,7 +169,7 @@ void check_good_trace(const Workload& w, Reporter& report) {
           }
           if (ref_x) continue;  // defined values only
           const bool ref_v = (ref.po[c] >> k) & 1u;
-          const bool eng_v = (good.po[c][kk] >> l) & 1u;
+          const bool eng_v = (row[g] >> l) & 1u;
           if (ref_v != eng_v)
             report.add("good_trace_po",
                        where + " cycle " + std::to_string(c) + " po " +
@@ -174,19 +177,20 @@ void check_good_trace(const Workload& w, Reporter& report) {
                            (eng_v ? "1" : "0") + " ref " + (ref_v ? "1" : "0"));
         }
       }
-      const std::uint32_t eng_fsx =
-          good.has_x ? good.final_state_x[l] : 0u;
+      const int lane = static_cast<int>(l);
+      const std::uint32_t eng_fs = lane_bits(good.final_state, lane);
+      const std::uint32_t eng_fsx = lane_bits(good.final_state_x, lane);
       if (eng_fsx != ref.final_state_x)
         report.add("good_trace_final_x",
                    where + ": engine final-state X mask " +
                        std::to_string(eng_fsx) + " ref " +
                        std::to_string(ref.final_state_x));
       const std::uint32_t defined = ~(eng_fsx | ref.final_state_x);
-      if ((good.final_state[l] & defined) != (ref.final_state & defined))
+      if ((eng_fs & defined) != (ref.final_state & defined))
         report.add("good_trace_final",
                    where + ": engine final state " +
-                       std::to_string(good.final_state[l] & defined) +
-                       " ref " + std::to_string(ref.final_state & defined));
+                       std::to_string(eng_fs & defined) + " ref " +
+                       std::to_string(ref.final_state & defined));
     }
   }
 }

@@ -199,8 +199,10 @@ GoodTrace sliced_good_trace(ScanBatchSim& sim,
     ++rounds;
     bool moved = false;
     for (std::size_t j = 1; j < segments.size(); ++j) {
-      if (segments[j].init_state == good.final_state[j - 1]) continue;
-      segments[j].init_state = good.final_state[j - 1];
+      const std::uint32_t end =
+          lane_bits(good.final_state, static_cast<int>(j) - 1);
+      if (segments[j].init_state == end) continue;
+      segments[j].init_state = end;
       moved = true;
     }
     if (!moved) {

@@ -1,7 +1,6 @@
 #include "fault/nonscan_sim.h"
 
-#include "base/error.h"
-#include "fault/fault_sim.h"
+#include <tuple>
 
 namespace fstg {
 
@@ -18,18 +17,18 @@ void load(LogicSim& sim, const ScanCircuit& circuit, std::uint32_t ic,
     sim.set_input(circuit.num_pi + k, (state >> k) & 1u ? ~Word{0} : Word{0});
 }
 
-std::uint32_t next_state(const LogicSim& sim, const ScanCircuit& circuit) {
-  std::uint32_t ns = 0;
-  for (int k = 0; k < circuit.num_sv; ++k)
-    if (sim.output(circuit.num_po + k) & 1u) ns |= 1u << k;
-  return ns;
-}
-
-std::uint32_t po_word(const LogicSim& sim, const ScanCircuit& circuit) {
+/// Lane 0's primary outputs and next state, where `out(k)` is the lane word
+/// of circuit output k.
+template <class Out>
+std::pair<std::uint32_t, std::uint32_t> po_and_next_state(
+    const ScanCircuit& circuit, const Out& out) {
   std::uint32_t po = 0;
+  std::uint32_t ns = 0;
   for (int k = 0; k < circuit.num_po; ++k)
-    if (sim.output(k) & 1u) po |= 1u << k;
-  return po;
+    if (out(k) & 1u) po |= 1u << k;
+  for (int k = 0; k < circuit.num_sv; ++k)
+    if (out(circuit.num_po + k) & 1u) ns |= 1u << k;
+  return {po, ns};
 }
 
 }  // namespace
@@ -42,49 +41,43 @@ NonScanSimResult simulate_faults_nonscan(
   result.total_faults = faults.size();
   result.detected.assign(faults.size(), false);
 
-  // Fault-free reference: per-cycle PO words and states.
+  // Fault-free reference: per-cycle PO words, entering states and gate
+  // values (the base rows of the overlay).
   LogicSim sim(circuit.comb);
+  const auto full = [&sim](int k) { return sim.output(k); };
   std::vector<std::uint32_t> good_po(sequence.size());
   std::vector<std::uint32_t> good_state(sequence.size());
+  std::vector<std::vector<Word>> good_values(sequence.size());
   std::uint32_t state = reset_code;
   for (std::size_t c = 0; c < sequence.size(); ++c) {
     good_state[c] = state;
     load(sim, circuit, sequence[c], state);
     sim.run();
-    good_po[c] = po_word(sim, circuit);
-    state = next_state(sim, circuit);
-  }
-
-  const std::vector<std::vector<int>> cones =
-      compute_fault_cones(circuit.comb, faults);
-  // Good gate values per cycle for the cone fast path.
-  std::vector<std::vector<Word>> good_values(sequence.size());
-  {
-    std::uint32_t s = reset_code;
-    for (std::size_t c = 0; c < sequence.size(); ++c) {
-      load(sim, circuit, sequence[c], s);
-      sim.run();
-      good_values[c] = sim.values();
-      s = next_state(sim, circuit);
-    }
+    good_values[c] = sim.values();
+    std::tie(good_po[c], state) = po_and_next_state(circuit, full);
   }
 
   for (std::size_t f = 0; f < faults.size(); ++f) {
     std::uint32_t fs = reset_code;
     for (std::size_t c = 0; c < sequence.size(); ++c) {
+      std::uint32_t po = 0;
       if (fs == good_state[c]) {
-        sim.seed_values(good_values[c]);
-        sim.run_cone(faults[f], cones[f]);
+        // The faulty machine is in the good state: propagate the fault
+        // event-driven over the stored good row.
+        const Word* base = good_values[c].data();
+        sim.run_cone_overlay(faults[f], base);
+        std::tie(po, fs) = po_and_next_state(
+            circuit, [&](int k) { return sim.overlay_output(k, base); });
       } else {
         load(sim, circuit, sequence[c], fs);
         sim.run(faults[f]);
+        std::tie(po, fs) = po_and_next_state(circuit, full);
       }
-      if (po_word(sim, circuit) != good_po[c]) {
+      if (po != good_po[c]) {
         result.detected[f] = true;
         ++result.detected_faults;
         break;
       }
-      fs = next_state(sim, circuit);
     }
     // No scan-out: a final-state difference alone goes unobserved.
   }

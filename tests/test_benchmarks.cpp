@@ -41,7 +41,7 @@ TEST(Benchmarks, AllLoadWithDeclaredDimensions) {
 }
 
 TEST(Benchmarks, LoadsAreDeterministic) {
-  for (const std::string& name : {"bbara", "keyb", "dvram"}) {
+  for (const char* name : {"bbara", "keyb", "dvram"}) {
     Kiss2Fsm a = load_benchmark(name);
     Kiss2Fsm b = load_benchmark(name);
     EXPECT_EQ(write_kiss2(a), write_kiss2(b)) << name;

@@ -9,7 +9,7 @@ namespace fstg {
 namespace {
 
 TEST(Compaction, EffectiveSubsetPreservesCoverage) {
-  for (const std::string& name : {"lion", "dk17", "beecount", "ex5"}) {
+  for (const char* name : {"lion", "dk17", "beecount", "ex5"}) {
     SCOPED_TRACE(name);
     CircuitExperiment exp = run_circuit(name);
     const ScanCircuit& circuit = exp.synth.circuit;

@@ -84,9 +84,10 @@ TEST_P(CrossValidation, ChainedDetectionIsWithinExhaustiveDetection) {
   FaultSimResult exhaustive =
       simulate_faults(circuit, per_transition_tests(exp.table), faults);
   for (std::size_t f = 0; f < faults.size(); ++f)
-    if (chained.detected_by[f] >= 0)
+    if (chained.detected_by[f] >= 0) {
       EXPECT_GE(exhaustive.detected_by[f], 0)
           << describe_fault(circuit.comb, faults[f]);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrossValidation, ::testing::Range(0, 8));

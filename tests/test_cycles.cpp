@@ -17,8 +17,8 @@ TEST(Cycles, PaperFormula) {
 
 TEST(Cycles, FromTestSet) {
   TestSet set;
-  set.tests.push_back({0, {0, 1}, 0});
-  set.tests.push_back({0, {2}, 0});
+  set.tests.push_back({0, {0, 1}, 0, {}});
+  set.tests.push_back({0, {2}, 0, {}});
   EXPECT_EQ(test_application_cycles(3, set), 3u * 3u + 3u);
 }
 

@@ -41,7 +41,7 @@ TEST(Distinguishing, EquivalentStatesHaveNoSequence) {
 TEST(Distinguishing, AllDistinctPairsOnBenchmarks) {
   // Minimal machines: every pair must be distinguishable, and the returned
   // sequence must actually distinguish.
-  for (const std::string& name : {"lion", "shiftreg"}) {
+  for (const char* name : {"lion", "shiftreg"}) {
     SCOPED_TRACE(name);
     StateTable t = expand_fsm(load_benchmark(name), FillPolicy::kError);
     for (int a = 0; a < t.num_states(); ++a) {

@@ -21,7 +21,7 @@ std::vector<int> reference_detected_by(const ScanCircuit& circuit,
     for (std::size_t i = 0; i < tests.tests.size(); ++i) {
       const std::vector<ScanPattern> one = {
           {static_cast<std::uint32_t>(tests.tests[i].init_state),
-           tests.tests[i].inputs}};
+           tests.tests[i].inputs, {}}};
       const GoodTrace good = sim.run_good(one);
       if (sim.run_faulty(one, good, faults[f]) != 0) {
         result[f] = static_cast<int>(i);
@@ -80,7 +80,7 @@ TEST(FaultSim, CoveragePercent) {
 
 TEST(FaultSim, ToScanPatterns) {
   TestSet set;
-  set.tests.push_back({3, {0, 2}, 1});
+  set.tests.push_back({3, {0, 2}, 1, {}});
   std::vector<ScanPattern> p = to_scan_patterns(set);
   ASSERT_EQ(p.size(), 1u);
   EXPECT_EQ(p[0].init_state, 3u);

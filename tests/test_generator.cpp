@@ -54,7 +54,7 @@ TEST(Generator, InvariantsHoldOnLightBenchmarks) {
 TEST(Generator, NoTransferVariantInvariants) {
   GeneratorOptions options;
   options.transfer_max_length = 0;
-  for (const std::string& name : {"lion", "bbtas", "dk15", "dk27", "shiftreg"}) {
+  for (const char* name : {"lion", "bbtas", "dk15", "dk27", "shiftreg"}) {
     SCOPED_TRACE(name);
     StateTable t = table_of(name);
     GeneratorResult r = generate_functional_tests(t, options);
@@ -91,7 +91,7 @@ TEST(Generator, PostponementReducesLengthOneTests) {
 TEST(Generator, TransferSequencesImproveChaining) {
   // Paper Tables 5 vs 8: with transfers, at least as many transitions are
   // tested by longer tests (fewer length-one tests).
-  for (const std::string& name : {"lion", "bbtas", "dk15"}) {
+  for (const char* name : {"lion", "bbtas", "dk15"}) {
     SCOPED_TRACE(name);
     StateTable t = table_of(name);
     GeneratorOptions no_transfer;

@@ -73,7 +73,7 @@ TEST(Integration, Table8SelectionRuleFindsShiftreg) {
 TEST(Integration, NoTransferNeverExceedsBaselineOnTable8Subjects) {
   ExperimentOptions no_transfer;
   no_transfer.gen.transfer_max_length = 0;
-  for (const std::string& name : {"bbtas", "dk15", "dk27", "shiftreg"}) {
+  for (const char* name : {"bbtas", "dk15", "dk27", "shiftreg"}) {
     SCOPED_TRACE(name);
     Table8Row row = compute_table8_row(run_circuit(name, no_transfer));
     EXPECT_LE(row.percent, 100.0);

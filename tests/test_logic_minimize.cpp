@@ -75,8 +75,12 @@ TEST_P(MinimizeProperty, ExactOnRandomFunctions) {
     // minterm outside on ∪ dc.
     for (std::uint32_t p = 0; p < (1u << nv); ++p) {
       const bool in_on = on.eval(p), in_dc = dc.eval(p), in_m = m.eval(p);
-      if (in_on && !in_dc) EXPECT_TRUE(in_m) << "dropped on-minterm " << p;
-      if (!in_on && !in_dc) EXPECT_FALSE(in_m) << "covers off-minterm " << p;
+      if (in_on && !in_dc) {
+        EXPECT_TRUE(in_m) << "dropped on-minterm " << p;
+      }
+      if (!in_on && !in_dc) {
+        EXPECT_FALSE(in_m) << "covers off-minterm " << p;
+      }
     }
     // Primality (EXPAND's guarantee): raising any single literal of a
     // result cube covers a minterm outside on ∪ dc.

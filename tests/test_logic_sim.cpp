@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
+#include "fault/bridging.h"
+#include "fault/fault.h"
 #include "harness/experiment.h"
 
 namespace fstg {
@@ -101,29 +103,40 @@ TEST(LogicSim, BridgeAndOrSemantics) {
 }
 
 TEST(LogicSim, RunConeEquivalentToFullRun) {
+  // The event-driven overlay over a fault-free row must give every output
+  // exactly what a full faulty evaluation gives, value and X plane, for
+  // every stuck-at and bridging fault.
   const CircuitExperiment exp = run_circuit("dk17");
   const Netlist& nl = exp.synth.circuit.comb;
-  const std::vector<FaultSpec> faults = enumerate_stuck_at(nl);
-  const std::vector<std::vector<int>> cones =
-      compute_fault_cones(nl, faults);
+  std::vector<FaultSpec> faults = enumerate_stuck_at(nl);
+  const std::vector<FaultSpec> bridges = enumerate_bridging(nl);
+  ASSERT_FALSE(bridges.empty());
+  faults.insert(faults.end(), bridges.begin(), bridges.end());
 
   LogicSim full(nl);
-  LogicSim cone(nl);
+  LogicSim overlay(nl);
   Rng rng(99);
-  for (int trial = 0; trial < 5; ++trial) {
+  for (int trial = 0; trial < 8; ++trial) {
+    // Trials 5..7 leave about a quarter of the input lanes X.
+    full.clear_input_x();
     for (int i = 0; i < nl.num_inputs(); ++i) {
-      Word w = rng.next();
-      full.set_input(i, w);
-      cone.set_input(i, w);
+      full.set_input(i, rng.next());
+      if (trial >= 5) full.set_input_x(i, rng.next() & rng.next());
     }
-    // Fault-free base for the cone path.
+    full.run();
+    const std::vector<Word> base = full.values();
+    const std::vector<Word> base_x = full.xvals();
+    const Word* bx = full.last_run_had_x() ? base_x.data() : nullptr;
+    ASSERT_EQ(bx != nullptr, trial >= 5);
     for (std::size_t f = 0; f < faults.size(); ++f) {
       full.run(faults[f]);
-      cone.run();  // establishes the good values
-      cone.run_cone(faults[f], cones[f]);
-      for (int k = 0; k < nl.num_outputs(); ++k)
-        ASSERT_EQ(full.output(k), cone.output(k))
-            << "fault " << f << " output " << k;
+      overlay.run_cone_overlay(faults[f], base.data(), bx);
+      for (int k = 0; k < nl.num_outputs(); ++k) {
+        ASSERT_EQ(full.output(k), overlay.overlay_output(k, base.data()))
+            << "trial " << trial << " fault " << f << " output " << k;
+        ASSERT_EQ(full.output_x(k), overlay.overlay_output_xval(k, bx))
+            << "trial " << trial << " fault " << f << " output " << k;
+      }
     }
   }
 }

@@ -95,8 +95,11 @@ TEST(GeneratorOptions, ExplicitUioBoundIsUsed) {
   options.uio_max_length = 1;
   GeneratorResult r = generate_functional_tests(t, options);
   EXPECT_EQ(r.uios.count(), 1);  // only state 0's length-1 UIO fits
-  for (const auto& u : r.uios.per_state)
-    if (u.exists) EXPECT_LE(u.length(), 1);
+  for (const auto& u : r.uios.per_state) {
+    if (u.exists) {
+      EXPECT_LE(u.length(), 1);
+    }
+  }
 }
 
 TEST(Kiss2Writer, SyntheticRoundTripPreservesSemantics) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/bridging.h"
 #include "fault/fault.h"
 #include "fault/nonscan_sim.h"
 #include "harness/experiment.h"
@@ -89,8 +90,11 @@ TEST(NonScanSim, ScanObservationStrictlyStronger) {
       simulate_faults_nonscan(circuit, 0, gen.sequence, faults);
   FaultSimResult scan = simulate_faults(circuit, exp.gen.tests, faults);
 
-  for (std::size_t f = 0; f < faults.size(); ++f)
-    if (nonscan.detected[f]) EXPECT_GE(scan.detected_by[f], 0) << f;
+  for (std::size_t f = 0; f < faults.size(); ++f) {
+    if (nonscan.detected[f]) {
+      EXPECT_GE(scan.detected_by[f], 0) << f;
+    }
+  }
   EXPECT_LE(nonscan.detected_faults, scan.detected_faults);
 }
 
@@ -109,7 +113,10 @@ TEST(NonScanSim, ConeFastPathMatchesFullEvaluation) {
   CircuitExperiment exp = run_circuit("dk17");
   const ScanCircuit& circuit = exp.synth.circuit;
   NonScanResult gen = generate_nonscan_sequence(exp.table, 0);
-  const std::vector<FaultSpec> faults = enumerate_stuck_at(circuit.comb);
+  std::vector<FaultSpec> faults = enumerate_stuck_at(circuit.comb);
+  const std::vector<FaultSpec> bridges = enumerate_bridging(circuit.comb);
+  ASSERT_FALSE(bridges.empty());
+  faults.insert(faults.end(), bridges.begin(), bridges.end());
   NonScanSimResult fast =
       simulate_faults_nonscan(circuit, 0, gen.sequence, faults);
 

@@ -113,7 +113,7 @@ TEST(Parallel, UnevenWorkStillCovers) {
     for (std::size_t i = lo; i < hi; ++i) {
       volatile std::uint64_t sink = 0;
       const std::uint64_t spin = (i % 17 == 0) ? 20000 : 10;
-      for (std::uint64_t k = 0; k < spin; ++k) sink += k;
+      for (std::uint64_t k = 0; k < spin; ++k) sink = sink + k;
       hits[i].fetch_add(1, std::memory_order_relaxed);
     }
   });

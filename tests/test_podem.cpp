@@ -61,7 +61,7 @@ TEST(Podem, AgreesWithExhaustiveClassificationOnBenchmarks) {
     const std::vector<FaultSpec> faults = enumerate_stuck_at(circuit.comb);
     // Oracle: exhaustive classification with an empty-ish test set.
     TestSet nothing;
-    nothing.tests.push_back({0, {0}, exp.table.next(0, 0)});
+    nothing.tests.push_back({0, {0}, exp.table.next(0, 0), {}});
     RedundancyResult oracle = classify_faults(circuit, nothing, faults);
     for (std::size_t f = 0; f < faults.size(); ++f) {
       PodemResult r = podem(circuit, faults[f]);

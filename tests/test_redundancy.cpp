@@ -44,7 +44,7 @@ TEST(Redundancy, CraftedRedundantFaultIsClassified) {
   // Tests: nothing (so the detectable fault is a "miss"), then exhaustive
   // classification resolves both.
   TestSet no_tests;
-  no_tests.tests.push_back({0, {0}, 0});  // a=b=0 keeps output 0: detects or_g s-a-1
+  no_tests.tests.push_back({0, {0}, 0, {}});  // a=b=0 keeps output 0: detects or_g s-a-1
   RedundancyResult r = classify_faults(circuit, no_tests, faults);
   EXPECT_EQ(r.status[0], FaultStatus::kUndetectable);
   EXPECT_EQ(r.status[1], FaultStatus::kDetected);
@@ -52,7 +52,7 @@ TEST(Redundancy, CraftedRedundantFaultIsClassified) {
   // With a test set that misses the OR fault, it must be classified as
   // missed-but-detectable.
   TestSet blind;
-  blind.tests.push_back({0, {3}, 0});  // a=b=1: output already 1
+  blind.tests.push_back({0, {3}, 0, {}});  // a=b=1: output already 1
   RedundancyResult r2 = classify_faults(circuit, blind, faults);
   EXPECT_EQ(r2.status[0], FaultStatus::kUndetectable);
   EXPECT_EQ(r2.status[1], FaultStatus::kMissedDetectable);

@@ -35,9 +35,12 @@ TEST_F(ScanSimLion, GoodTraceMatchesStateTable) {
       ASSERT_TRUE((good.active[c] >> l) & 1u);
       const std::uint32_t expect_po =
           exp_->table.output(state, batch[l].inputs[c]);
-      for (int k = 0; k < circuit.num_po; ++k)
-        EXPECT_EQ((good.po[c][static_cast<std::size_t>(k)] >> l) & 1u,
+      // The row's output gates hold the primary outputs.
+      for (int k = 0; k < circuit.num_po; ++k) {
+        const int g = circuit.comb.outputs()[static_cast<std::size_t>(k)];
+        EXPECT_EQ((good.gate_values[c][static_cast<std::size_t>(g)] >> l) & 1u,
                   (expect_po >> k) & 1u);
+      }
       // The row's state inputs hold the state entering the cycle.
       for (int k = 0; k < circuit.num_sv; ++k) {
         const int g = circuit.comb.inputs()[static_cast<std::size_t>(
@@ -50,7 +53,8 @@ TEST_F(ScanSimLion, GoodTraceMatchesStateTable) {
     // Lane inactive after its pattern ends.
     for (std::size_t c = batch[l].inputs.size(); c < good.active.size(); ++c)
       EXPECT_FALSE((good.active[c] >> l) & 1u);
-    EXPECT_EQ(good.final_state[l], static_cast<std::uint32_t>(state));
+    EXPECT_EQ(lane_bits(good.final_state, static_cast<int>(l)),
+              static_cast<std::uint32_t>(state));
   }
 }
 
@@ -108,7 +112,7 @@ TEST(ScanSim, BatchSizeValidation) {
   CircuitExperiment exp = run_circuit("lion");
   ScanBatchSim sim(exp.synth.circuit);
   EXPECT_THROW(sim.run_good({}), Error);
-  std::vector<ScanPattern> too_many(65, ScanPattern{0, {0}});
+  std::vector<ScanPattern> too_many(65, ScanPattern{0, {0}, {}});
   EXPECT_THROW(sim.run_good(too_many), Error);
 }
 
@@ -119,7 +123,7 @@ TEST(ScanSim, SingleLaneStuckFaultDetection) {
   // Scan test exercising a known transition; stuck-at-1 on the primary
   // output gate must be caught whenever the good output is 0.
   const int po_gate = circuit.comb.outputs()[0];
-  const std::vector<ScanPattern> batch = {{0, {0}}};  // st0 --00--> out 0
+  const std::vector<ScanPattern> batch = {{0, {0}, {}}};  // st0 --00--> out 0
   const GoodTrace good = sim.run_good(batch);
   EXPECT_EQ(sim.run_faulty(batch, good, FaultSpec::stuck_gate(po_gate, true)),
             Word{1});

@@ -30,7 +30,7 @@ TEST(StFaults, EnumerationCount) {
 TEST(StFaults, PerTransitionTestsDetectEverything) {
   // One scan test per transition observes both the transition's output and
   // its next state, so every single ST fault is detected by construction.
-  for (const std::string& name : {"lion", "dk27", "beecount"}) {
+  for (const char* name : {"lion", "dk27", "beecount"}) {
     SCOPED_TRACE(name);
     StateTable t = expand_fsm(load_benchmark(name), FillPolicy::kSelfLoop);
     std::vector<StFault> faults = enumerate_st_faults(t);
@@ -56,11 +56,11 @@ TEST(StFaults, SingleFaultDetectionSemantics) {
   StFault fault{0, 1, 0, t.output(0, 1)};
   // A test applying (0,01) then scanning out catches it.
   TestSet catching;
-  catching.tests.push_back({0, {1}, 1});
+  catching.tests.push_back({0, {1}, 1, {}});
   EXPECT_EQ(simulate_st_faults(t, catching, {fault}).detected, 1u);
   // A test that never exercises (0,01) does not.
   TestSet missing;
-  missing.tests.push_back({0, {0}, 0});
+  missing.tests.push_back({0, {0}, 0, {}});
   EXPECT_EQ(simulate_st_faults(t, missing, {fault}).detected, 0u);
 }
 
@@ -70,7 +70,7 @@ TEST(StFaults, OutputFaultCaughtWithoutScanOut) {
   // the observed output catches it.
   StFault fault{0, 0, t.next(0, 0), t.output(0, 0) ^ 1u};
   TestSet set;
-  set.tests.push_back({0, {0}, 0});
+  set.tests.push_back({0, {0}, 0, {}});
   EXPECT_EQ(simulate_st_faults(t, set, {fault}).detected, 1u);
 }
 

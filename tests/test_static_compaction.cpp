@@ -35,8 +35,8 @@ TEST(StaticCompaction, OnlyMatchingStatesAreCombined) {
   // Craft two tests whose boundary states do not match: nothing combines.
   CircuitExperiment exp = run_circuit("lion");
   TestSet set;
-  set.tests.push_back({0, {1}, 1});  // ends in 1
-  set.tests.push_back({0, {0}, 0});  // starts in 0
+  set.tests.push_back({0, {1}, 1, {}});  // ends in 1
+  set.tests.push_back({0, {0}, 0, {}});  // starts in 0
   const std::vector<FaultSpec> faults =
       enumerate_stuck_at(exp.synth.circuit.comb);
   StaticCompactionResult r = static_compact(exp.synth.circuit, set, faults);
@@ -50,9 +50,9 @@ TEST(StaticCompaction, CombinesChainableTests) {
   // usually accepted. We only require: no coverage loss and valid output.
   CircuitExperiment exp = run_circuit("lion");
   TestSet set;
-  set.tests.push_back({0, {1}, 1});        // 0 --01--> 1
-  set.tests.push_back({1, {2}, 3});        // 1 --10--> 3
-  set.tests.push_back({3, {3}, 3});        // 3 --11--> 3
+  set.tests.push_back({0, {1}, 1, {}});        // 0 --01--> 1
+  set.tests.push_back({1, {2}, 3, {}});        // 1 --10--> 3
+  set.tests.push_back({3, {3}, 3, {}});        // 3 --11--> 3
   const std::vector<FaultSpec> faults =
       enumerate_stuck_at(exp.synth.circuit.comb);
   StaticCompactionResult r = static_compact(exp.synth.circuit, set, faults);

@@ -111,8 +111,9 @@ TEST(Tables, TableNineSweepProperties) {
     EXPECT_GE(rows[i].unique, rows[i - 1].unique);
   }
   // The sweep ends when the UIO count stops growing.
-  if (rows.size() >= 2)
+  if (rows.size() >= 2) {
     EXPECT_EQ(rows.back().unique, rows[rows.size() - 2].unique);
+  }
 }
 
 }  // namespace

@@ -523,7 +523,9 @@ TEST(Report, WatchSpecsNormalizeAndLimitTheGate) {
   ASSERT_EQ(report.watched.size(), 1u);
   EXPECT_EQ(report.watched[0], "parallel");
   for (const ReportStage& s : report.circuits[0].stages) {
-    if (s.stage == "parallel") EXPECT_TRUE(s.regressed);
+    if (s.stage == "parallel") {
+      EXPECT_TRUE(s.regressed);
+    }
     if (s.stage == "end_to_end") {
       EXPECT_FALSE(s.watched);
       EXPECT_FALSE(s.regressed);

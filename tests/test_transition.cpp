@@ -70,7 +70,7 @@ TEST(TransitionFaults, HandAnalyzedDetection) {
   // observes state 1): the XOR's raw goes 1 -> 1, no transition. Use
   // x=1,x=1: raw(ns): c0: x^y = 1^0 = 1; c1: 1^1 = 0 (falls).
   TestSet tests;
-  tests.tests.push_back({0, {1, 1}, 0});  // states: 0 ->1 ->0
+  tests.tests.push_back({0, {1, 1}, 0, {}});  // states: 0 ->1 ->0
   const TransitionFault str{ns, true};   // slow-to-rise
   const TransitionFault stf{ns, false};  // slow-to-fall
 
@@ -84,7 +84,7 @@ TEST(TransitionFaults, HandAnalyzedDetection) {
   // A three-vector test launches the rise too: x=1,1,1 -> raw(ns):
   // 1, 0, 1 -- the c2 rise is launched from c1.
   TestSet longer;
-  longer.tests.push_back({0, {1, 1, 1}, 1});
+  longer.tests.push_back({0, {1, 1, 1}, 1, {}});
   TransitionSimResult r2 =
       simulate_transition_faults(c, longer, {str, stf});
   EXPECT_TRUE(r2.detected[0]);

@@ -40,8 +40,11 @@ TEST(Uio, LengthBoundIsRespected) {
   options.max_length = 1;
   UioSet uios = derive_uio_sequences(t, options);
   EXPECT_EQ(uios.count(), 1);  // only state 0's length-1 UIO survives
-  for (const auto& u : uios.per_state)
-    if (u.exists) EXPECT_LE(u.length(), 1);
+  for (const auto& u : uios.per_state) {
+    if (u.exists) {
+      EXPECT_LE(u.length(), 1);
+    }
+  }
 }
 
 TEST(Uio, VerifyUioOracle) {
@@ -107,7 +110,7 @@ TEST(Uio, UioAbsenceAgreesWithPairwiseUndistinguishability) {
   // If some other state cannot be distinguished from s at all, s has no
   // UIO of any length. (The converse is not true: pairwise sequences can
   // exist while no single sequence separates s from everyone.)
-  for (const std::string& name : {"lion", "dk27", "ex5"}) {
+  for (const char* name : {"lion", "dk27", "ex5"}) {
     SCOPED_TRACE(name);
     StateTable t = expand_fsm(load_benchmark(name), FillPolicy::kSelfLoop);
     UioOptions options;
@@ -118,8 +121,9 @@ TEST(Uio, UioAbsenceAgreesWithPairwiseUndistinguishability) {
       for (int o = 0; o < t.num_states(); ++o)
         if (o != s && !distinguishing_sequence(t, s, o).has_value())
           someone_indistinguishable = true;
-      if (someone_indistinguishable)
+      if (someone_indistinguishable) {
         EXPECT_FALSE(uios.of(s).exists) << "state " << s;
+      }
     }
   }
 }

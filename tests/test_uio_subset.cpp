@@ -68,8 +68,9 @@ TEST(UioSubset, StatsAccountForEveryState) {
               t.num_states());
     // Single-UIO count must agree with the UIO engine.
     EXPECT_EQ(stats.states_with_single_uio, derive_uio_sequences(t).count());
-    if (stats.states_with_subset_only > 0)
+    if (stats.states_with_subset_only > 0) {
       EXPECT_GE(stats.average_subset_size, 2.0);
+    }
   }
 }
 
