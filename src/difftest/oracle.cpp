@@ -25,7 +25,10 @@ namespace {
 /// and event traffic depend only on the shared immutable good trace, and
 /// fault dropping is resolved at deterministic batch boundaries). A delta
 /// here under a different thread count means scheduling changed *what* was
-/// simulated, not just *where*.
+/// simulated, not just *where*. `scan.packed_sweeps` stays out: the
+/// diverged (fault, lane) steps of one worker chunk's faults share packed
+/// sweeps, so how many sweeps they take varies with the chunking and with
+/// it the worker count; the steps themselves (`scan.packed_lanes`) do not.
 constexpr const char* kInvariantCounters[] = {
     "fault_sim.batches",
     "fault_sim.faults_simulated",
@@ -38,6 +41,7 @@ constexpr const char* kInvariantCounters[] = {
     "scan.cycles_full",
     "scan.dirty_activations",
     "scan.dirty_clears",
+    "scan.packed_lanes",
     "sim.event_pushes",
     "sim.event_pops",
     "sim.overlay_calls",

@@ -215,6 +215,21 @@ bool detects(const Response& good, const Response& faulty) {
 
 }  // namespace
 
+std::vector<RV> reference_eval(const Netlist& nl,
+                               const std::vector<RV>& inputs,
+                               const FaultSpec& fault) {
+  require(inputs.size() == static_cast<std::size_t>(nl.num_inputs()),
+          "reference_eval: one value per input");
+  RefEval eval(nl);
+  for (std::size_t i = 0; i < inputs.size(); ++i)
+    eval.set_input(static_cast<int>(i), inputs[i]);
+  eval.eval(fault);
+  std::vector<RV> values(static_cast<std::size_t>(nl.num_gates()));
+  for (int g = 0; g < nl.num_gates(); ++g)
+    values[static_cast<std::size_t>(g)] = eval.value(g);
+  return values;
+}
+
 RefTestTrace reference_good_trace(const ScanCircuit& circuit,
                                   const FunctionalTest& test) {
   const Response r = simulate_one(circuit, test, FaultSpec::none());

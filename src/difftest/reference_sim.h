@@ -29,6 +29,12 @@ namespace fstg::difftest {
 ///    end), with first-detection attribution to the lowest test index.
 enum class RV : std::uint8_t { k0, k1, kX };
 
+/// Every gate's value after one evaluation of `nl` under `fault`, its
+/// inputs set to `inputs` (one per netlist input): the scalar combinational
+/// step the scan-level reference runs every cycle.
+std::vector<RV> reference_eval(const Netlist& nl, const std::vector<RV>& inputs,
+                               const FaultSpec& fault);
+
 /// Fault-free response of one test: per-cycle primary-output values with
 /// X masks, and the scanned-out final state.
 struct RefTestTrace {

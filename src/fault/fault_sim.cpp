@@ -110,6 +110,8 @@ void flush_sim_stats(const LogicSimStats& logic, const ScanSimStats& scan) {
   static const obs::Counter c_dirty_off = obs::counter("scan.dirty_clears");
   static const obs::Counter c_continued =
       obs::counter("fault_sim.continuations");
+  static const obs::Counter c_sweeps = obs::counter("scan.packed_sweeps");
+  static const obs::Counter c_packed = obs::counter("scan.packed_lanes");
   c_pushes.add(logic.event_pushes);
   c_pops.add(logic.event_pops);
   c_calls.add(logic.overlay_calls);
@@ -121,6 +123,8 @@ void flush_sim_stats(const LogicSimStats& logic, const ScanSimStats& scan) {
   c_dirty_on.add(scan.dirty_activations);
   c_dirty_off.add(scan.dirty_clears);
   c_continued.add(scan.continued_faults);
+  c_sweeps.add(scan.packed_sweeps);
+  c_packed.add(scan.packed_lanes);
 }
 
 /// Representative gate of a fault for cone assignment (the site whose FFR
@@ -320,21 +324,23 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
     }
 
     // Each live fault is simulated independently against the shared good
-    // trace; detected_by writes are disjoint per fault, so workers need no
-    // synchronization beyond the guard. A tripped guard cancels every
-    // worker cooperatively (tick turns false on all threads); faults it
-    // skips simply stay undetected in the partial result.
+    // trace; a chunk's faults go to its slot's simulator together, so their
+    // diverged cycles share packed sweeps. detected_by writes are disjoint
+    // per fault, so workers need no synchronization beyond the guard. A
+    // tripped guard cancels every worker cooperatively (tick turns false on
+    // all threads); faults it skips simply stay undetected in the partial
+    // result.
     const auto simulate_range = [&](int slot, std::size_t lo, std::size_t hi) {
-      ScanBatchSim& sim = *sims[static_cast<std::size_t>(slot)];
+      std::vector<FaultJob> chunk(hi - lo);
+      for (std::size_t i = lo; i < hi; ++i)
+        chunk[i - lo] = {&faults[alive[i]], &cones[alive[i]]};
+      sims[static_cast<std::size_t>(slot)]->run_faulty(batch, good, chunk,
+                                                       &guard);
       for (std::size_t i = lo; i < hi; ++i) {
-        if (!guard.tick(batch.size())) return;
-        const std::size_t f = alive[i];
-        const Word det =
-            sim.run_faulty(batch, good, faults[f], &cones[f], &guard);
-        if (det != 0) {
-          result.detected_by[f] = static_cast<int>(
+        const Word det = chunk[i - lo].detected;
+        if (det != 0)
+          result.detected_by[alive[i]] = static_cast<int>(
               b.first + static_cast<std::size_t>(std::countr_zero(det)));
-        }
       }
     };
     // Equal-count chunks of about 1/16 of a worker's share of the

@@ -26,8 +26,11 @@ namespace fstg::serve {
 inline constexpr std::size_t kFramePrefixBytes = 4;
 
 /// Default cap on one frame's payload. Requests embed at most a KISS2
-/// machine and a test file; 4 MiB is orders of magnitude above both.
-inline constexpr std::size_t kDefaultMaxFrameBytes = 4u << 20;
+/// machine and a test file. The largest test file `fstg gen` writes for the
+/// built-in circuits is nucpwr's, about 8.9 MB (a little more once
+/// JSON-escaped into a sim request); 32 MiB holds it with a margin of more
+/// than three.
+inline constexpr std::size_t kDefaultMaxFrameBytes = 32u << 20;
 
 /// Frame `payload` for the wire (prefix + bytes). Payloads above 2^32-1
 /// bytes cannot be framed; callers keep them under the frame cap anyway.

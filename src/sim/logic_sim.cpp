@@ -1,6 +1,7 @@
 #include "sim/logic_sim.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "base/error.h"
 
@@ -438,21 +439,16 @@ void LogicSim::overlay_prepare() {
   }
 }
 
-void LogicSim::eval_span(int first_gate, int skip_a, int skip_b) {
-  const int n = nl_->num_gates();
-  for (int id = first_gate; id < n; ++id) {
-    if (id == skip_a || id == skip_b) continue;
-    values_[static_cast<std::size_t>(id)] = eval_gate(id);
-  }
-}
-
-void LogicSim::eval_span_x(int first_gate, int skip_a, int skip_b) {
-  const int n = nl_->num_gates();
-  for (int id = first_gate; id < n; ++id) {
-    if (id == skip_a || id == skip_b) continue;
-    const auto [v, x] = eval_gate_x(id);
-    values_[static_cast<std::size_t>(id)] = v;
-    xvals_[static_cast<std::size_t>(id)] = x;
+template <bool kX>
+void LogicSim::eval_range(int first, int last) {
+  for (int id = first; id < last; ++id) {
+    if constexpr (kX) {
+      const auto [v, x] = eval_gate_x(id);
+      values_[static_cast<std::size_t>(id)] = v;
+      xvals_[static_cast<std::size_t>(id)] = x;
+    } else {
+      values_[static_cast<std::size_t>(id)] = eval_gate(id);
+    }
   }
 }
 
@@ -460,119 +456,155 @@ void LogicSim::override_and_propagate(int gate, Word value) {
   // Two-valued by design: only the transition-delay simulator uses this,
   // and it never applies X-bearing patterns.
   values_[static_cast<std::size_t>(gate)] = value;
-  eval_span(gate + 1, gate, -1);
+  eval_range<false>(gate + 1, nl_->num_gates());
 }
 
 void LogicSim::run(const FaultSpec& fault) {
-  if (inputs_have_x()) {
-    x_clean_ = false;
-    run3(fault);
-    return;
+  injections_.clear();
+  bridges_.clear();
+  add_injection(fault, kOnes);
+  sweep();
+}
+
+void LogicSim::run_packed(std::span<const PackedEntry> entries, int num_pi) {
+  require(entries.size() <= static_cast<std::size_t>(kWordBits),
+          "packed evaluation exceeds the word width");
+  const std::vector<int>& ins = nl_->inputs();
+  const std::size_t num_in = ins.size();
+  std::fill(input_words_.begin(), input_words_.end(), Word{0});
+  std::fill(input_x_.begin(), input_x_.end(), Word{0});
+  injections_.clear();
+  bridges_.clear();
+  for (std::size_t b = 0; b < entries.size(); ++b) {
+    const PackedEntry& e = entries[b];
+    for (std::size_t i = 0; i < static_cast<std::size_t>(num_pi); ++i) {
+      const std::size_t g = static_cast<std::size_t>(ins[i]);
+      input_words_[i] |= ((e.row[g] >> e.lane) & 1u) << b;
+      if (e.row_x != nullptr) input_x_[i] |= ((e.row_x[g] >> e.lane) & 1u) << b;
+    }
+    for (std::size_t i = static_cast<std::size_t>(num_pi); i < num_in; ++i) {
+      const std::size_t k = i - static_cast<std::size_t>(num_pi);
+      input_words_[i] |= Word{(e.state >> k) & 1u} << b;
+      input_x_[i] |= Word{(e.state_x >> k) & 1u} << b;
+    }
+    add_injection(e.fault, Word{1} << b);
   }
-  if (!x_clean_) {
+  input_x_set_ = true;  // inputs_have_x checks the words
+  sweep();
+}
+
+void LogicSim::add_injection(const FaultSpec& fault, Word mask) {
+  const Word forced = fault.value ? mask : 0;
+  switch (fault.kind) {
+    case FaultSpec::Kind::kNone:
+      return;
+    case FaultSpec::Kind::kStuckGate:
+      injections_.push_back({fault.gate, -1, mask, forced, 0});
+      return;
+    case FaultSpec::Kind::kStuckPin:
+      injections_.push_back({fault.gate, fault.gate2_or_pin, mask, forced, 0});
+      return;
+    case FaultSpec::Kind::kBridge:
+      require(fault.gate >= 0 && fault.gate2_or_pin >= 0 &&
+                  fault.gate != fault.gate2_or_pin,
+              "bridge needs two distinct gates");
+      bridges_.push_back({fault.gate, fault.gate2_or_pin, mask, fault.value});
+      return;
+  }
+}
+
+void LogicSim::sweep() {
+  const auto by_gate = [](const Injection& a, const Injection& b) {
+    return a.gate < b.gate;
+  };
+  std::sort(injections_.begin(), injections_.end(), by_gate);
+  const bool x3 = inputs_have_x();
+  if (x3) {
+    x_clean_ = false;
+  } else if (!x_clean_) {
     std::fill(xvals_.begin(), xvals_.end(), Word{0});
     x_clean_ = true;
   }
-  run2(fault);
+  x3 ? sweep_from<true>(0) : sweep_from<false>(0);
+  if (bridges_.empty()) return;
+
+  // Non-feedback bridges: neither line is in the other's fanin cone, so the
+  // first sweep, which left the bridged bits fault-free, holds their raw
+  // line values. Force both lines to the wired value and sweep again from
+  // the lowest bridged gate; every transitive fanout has a larger id
+  // (topological storage), and the other bits' injections reapply.
+  int lowest = nl_->num_gates();
+  for (const BridgeInjection& br : bridges_) {
+    const std::size_t g1 = static_cast<std::size_t>(br.gate1);
+    const std::size_t g2 = static_cast<std::size_t>(br.gate2);
+    const auto [wv, wx] =
+        wired3(br.or_type, values_[g1], xvals_[g1], values_[g2], xvals_[g2]);
+    injections_.push_back({br.gate1, -1, br.mask, wv & br.mask, wx & br.mask});
+    injections_.push_back({br.gate2, -1, br.mask, wv & br.mask, wx & br.mask});
+    lowest = std::min({lowest, br.gate1, br.gate2});
+  }
+  std::sort(injections_.begin(), injections_.end(), by_gate);
+  x3 ? sweep_from<true>(lowest) : sweep_from<false>(lowest);
 }
 
-void LogicSim::run2(const FaultSpec& fault) {
-  switch (fault.kind) {
-    case FaultSpec::Kind::kNone:
-      eval_span(0, -1, -1);
-      return;
-
-    case FaultSpec::Kind::kStuckGate:
-      eval_span(0, fault.gate, -1);
-      values_[static_cast<std::size_t>(fault.gate)] = fault.value ? kOnes : 0;
-      eval_span(fault.gate + 1, -1, -1);
-      return;
-
-    case FaultSpec::Kind::kStuckPin: {
-      // Evaluate up to the faulted gate, patch exactly the faulted pin
-      // position (a duplicated driver's sibling pins stay fault-free, the
-      // same per-pin semantics PODEM uses), continue downstream.
-      eval_span(0, fault.gate, -1);
-      const Word pin_v = fault.value ? kOnes : 0;
-      values_[static_cast<std::size_t>(fault.gate)] =
-          eval_gate_with(fault.gate, [&](int p, int g) {
-            return p == fault.gate2_or_pin
-                       ? pin_v
-                       : values_[static_cast<std::size_t>(g)];
-          });
-      eval_span(fault.gate + 1, -1, -1);
-      return;
-    }
-
-    case FaultSpec::Kind::kBridge: {
-      // Non-feedback bridge: neither gate is in the other's fanin cone, so
-      // the raw (pre-bridge) values from a fault-free sweep are exact.
-      // Force both lines to the wired value and re-evaluate downstream;
-      // one partial sweep suffices because all transitive fanouts have
-      // larger ids (topological storage).
-      const int g1 = fault.gate;
-      const int g2 = fault.gate2_or_pin;
-      require(g1 >= 0 && g2 >= 0 && g1 != g2,
-              "bridge needs two distinct gates");
-      eval_span(0, -1, -1);
-      const Word v1 = values_[static_cast<std::size_t>(g1)];
-      const Word v2 = values_[static_cast<std::size_t>(g2)];
-      const Word wired = fault.value ? (v1 | v2) : (v1 & v2);
-      values_[static_cast<std::size_t>(g1)] = wired;
-      values_[static_cast<std::size_t>(g2)] = wired;
-      eval_span(std::min(g1, g2) + 1, g1, g2);
-      return;
-    }
+template <bool kX>
+void LogicSim::sweep_from(int first) {
+  const Injection* at = injections_.data();
+  const Injection* const end = at + injections_.size();
+  while (at != end && at->gate < first) ++at;
+  int id = first;
+  while (at != end) {
+    const int g = at->gate;
+    const Injection* group_end = at;
+    while (group_end != end && group_end->gate == g) ++group_end;
+    eval_range<kX>(id, g);
+    eval_injected<kX>(g, at, group_end);
+    id = g + 1;
+    at = group_end;
   }
+  eval_range<kX>(id, nl_->num_gates());
 }
 
-void LogicSim::run3(const FaultSpec& fault) {
-  switch (fault.kind) {
-    case FaultSpec::Kind::kNone:
-      eval_span_x(0, -1, -1);
-      return;
-
-    case FaultSpec::Kind::kStuckGate:
-      eval_span_x(0, fault.gate, -1);
-      values_[static_cast<std::size_t>(fault.gate)] = fault.value ? kOnes : 0;
-      xvals_[static_cast<std::size_t>(fault.gate)] = 0;
-      eval_span_x(fault.gate + 1, -1, -1);
-      return;
-
-    case FaultSpec::Kind::kStuckPin: {
-      eval_span_x(0, fault.gate, -1);
-      const Word pin_v = fault.value ? kOnes : 0;
-      const auto [v, x] = eval_gate_x_with(fault.gate, [&](int p, int g) {
-        return p == fault.gate2_or_pin
-                   ? std::pair<Word, Word>{pin_v, 0}
-                   : std::pair<Word, Word>{values_[static_cast<std::size_t>(g)],
-                                           xvals_[static_cast<std::size_t>(g)]};
-      });
-      values_[static_cast<std::size_t>(fault.gate)] = v;
-      xvals_[static_cast<std::size_t>(fault.gate)] = x;
-      eval_span_x(fault.gate + 1, -1, -1);
-      return;
-    }
-
-    case FaultSpec::Kind::kBridge: {
-      const int g1 = fault.gate;
-      const int g2 = fault.gate2_or_pin;
-      require(g1 >= 0 && g2 >= 0 && g1 != g2,
-              "bridge needs two distinct gates");
-      eval_span_x(0, -1, -1);
-      const auto [wv, wx] = wired3(
-          fault.value, values_[static_cast<std::size_t>(g1)],
-          xvals_[static_cast<std::size_t>(g1)],
-          values_[static_cast<std::size_t>(g2)],
-          xvals_[static_cast<std::size_t>(g2)]);
-      values_[static_cast<std::size_t>(g1)] = wv;
-      xvals_[static_cast<std::size_t>(g1)] = wx;
-      values_[static_cast<std::size_t>(g2)] = wv;
-      xvals_[static_cast<std::size_t>(g2)] = wx;
-      eval_span_x(std::min(g1, g2) + 1, g1, g2);
-      return;
-    }
+template <bool kX>
+void LogicSim::eval_injected(int g, const Injection* at,
+                             const Injection* end) {
+  bool pins = false;
+  for (const Injection* r = at; r != end; ++r) pins = pins || r->pin >= 0;
+  const std::size_t gi = static_cast<std::size_t>(g);
+  Word v = 0;
+  Word x = 0;
+  if constexpr (kX) {
+    std::tie(v, x) =
+        pins ? eval_gate_x_with(g,
+                                [&](int p, int f) {
+                                  Word fv = values_[static_cast<std::size_t>(f)];
+                                  Word fx = xvals_[static_cast<std::size_t>(f)];
+                                  for (const Injection* r = at; r != end; ++r) {
+                                    if (r->pin != p) continue;
+                                    fv = (fv & ~r->mask) | r->value;
+                                    fx &= ~r->mask;
+                                  }
+                                  return std::pair<Word, Word>{fv, fx};
+                                })
+             : eval_gate_x(g);
+  } else {
+    v = pins ? eval_gate_with(g,
+                              [&](int p, int f) {
+                                Word fv = values_[static_cast<std::size_t>(f)];
+                                for (const Injection* r = at; r != end; ++r)
+                                  if (r->pin == p)
+                                    fv = (fv & ~r->mask) | r->value;
+                                return fv;
+                              })
+             : eval_gate(g);
   }
+  for (const Injection* r = at; r != end; ++r) {
+    if (r->pin >= 0) continue;
+    v = (v & ~r->mask) | r->value;
+    x = (x & ~r->mask) | r->xval;
+  }
+  values_[gi] = v;
+  if constexpr (kX) xvals_[gi] = x;
 }
 
 }  // namespace fstg

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -40,6 +41,20 @@ struct FaultSpec {
   bool operator==(const FaultSpec& o) const = default;
 };
 
+/// One bit of a packed evaluation (LogicSim::run_packed): its fault, and
+/// where its inputs come from. Primary input i is bit `lane` of
+/// `row[nl.inputs()[i]]` (X: of `row_x`, nullptr for an all-defined row),
+/// a good-trace row of the scan simulator; state input k is bit k of
+/// `state` (X: of `state_x`).
+struct PackedEntry {
+  FaultSpec fault;
+  const Word* row = nullptr;
+  const Word* row_x = nullptr;
+  int lane = 0;
+  std::uint32_t state = 0;
+  std::uint32_t state_x = 0;
+};
+
 /// Tallies of the event-driven overlay path, accumulated with plain
 /// increments (a simulator instance is thread-confined, so no atomics in
 /// the hot loop); the fault-simulation engine flushes them into the obs
@@ -64,10 +79,10 @@ struct LogicSimStats {
 };
 
 /// Word-parallel (64 patterns per pass, one per lane of a Word) levelized
-/// evaluation of a combinational netlist, with single-fault injection. The
+/// evaluation of a combinational netlist, with fault injection per bit. The
 /// netlist's topological storage order makes evaluation a single linear
-/// sweep; bridging faults take a second partial sweep (see run2/run3 for
-/// why this is exact for non-feedback bridges).
+/// sweep; bridging faults take a second partial sweep (see sweep() for why
+/// this is exact for non-feedback bridges).
 ///
 /// --- Three-valued (0/1/X) lanes -------------------------------------------
 ///
@@ -95,8 +110,24 @@ class LogicSim {
   /// Reset every input X word to zero (cheap no-op when none was set).
   void clear_input_x();
 
-  /// Evaluate all gates under `fault` (kNone = fault-free).
+  /// Evaluate all gates with `fault` injected in every bit (kNone =
+  /// fault-free): run_packed's case where every bit carries one fault.
   void run(const FaultSpec& fault = FaultSpec::none());
+
+  /// Packed evaluation, one fault per bit as in parallel-fault simulation:
+  /// bit b reads its inputs from entries[b] (see PackedEntry; the first
+  /// `num_pi` netlist inputs are primary inputs, the rest state inputs) and
+  /// carries entries[b].fault, injected in that bit only. Bits past
+  /// entries.size() evaluate all-zero inputs fault-free. Replaces every
+  /// input word; three-valued only when some entry carries an X.
+  ///
+  /// Injection rules: a stuck-at gate fault forces the gate's value and
+  /// clears its X; a stuck-at pin fault forces only that fanin position of
+  /// its gate (a duplicated driver's sibling pins stay fault-free, the
+  /// per-pin semantics PODEM uses; difftest corpus case
+  /// stuck_pin_dup_fanin); a non-feedback bridge forces both lines to the
+  /// wired value of their raw values (wired3 under X).
+  void run_packed(std::span<const PackedEntry> entries, int num_pi);
 
   Word value(int gate_id) const {
     return values_[static_cast<std::size_t>(gate_id)];
@@ -234,14 +265,42 @@ class LogicSim {
   std::pair<Word, Word> eval_gate_x_with(int id, VxOf&& vx_of) const;
   Word eval_gate(int id) const;
   std::pair<Word, Word> eval_gate_x(int id) const;
-  void eval_span(int first_gate, int skip_a, int skip_b);
-  void eval_span_x(int first_gate, int skip_a, int skip_b);
+  /// Evaluate gates [first, last) from their fanins (kX: three-valued,
+  /// maintaining xvals_).
+  template <bool kX>
+  void eval_range(int first, int last);
   /// True when any input X word is nonzero; resets input_x_set_ when the
   /// flag was conservative (set then overwritten with zeros).
   bool inputs_have_x();
-  /// Two- and three-valued bodies of run(); the latter maintains xvals_.
-  void run2(const FaultSpec& fault);
-  void run3(const FaultSpec& fault);
+
+  /// One forced bit set of a sweep: bits `mask` of gate `gate`'s output
+  /// (pin -1) or of its fanin position `pin` read `value` / `xval`.
+  struct Injection {
+    int gate;
+    int pin;
+    Word mask;
+    Word value;
+    Word xval;
+  };
+  /// A non-feedback bridge in bits `mask`, forced once a first sweep has
+  /// its lines' raw values.
+  struct BridgeInjection {
+    int gate1;
+    int gate2;
+    Word mask;
+    bool or_type;
+  };
+  /// Queue `fault`'s injection into bits `mask` of the next sweep.
+  void add_injection(const FaultSpec& fault, Word mask);
+  /// Evaluate every gate with the queued injections (see run_packed).
+  void sweep();
+  /// Evaluate gates [first, n) from their fanins, applying injections_
+  /// (sorted by gate) at their gates.
+  template <bool kX>
+  void sweep_from(int first);
+  /// Evaluate gate `g` under the injections [at, end) at g.
+  template <bool kX>
+  void eval_injected(int g, const Injection* at, const Injection* end);
   /// Record `value` for `gate` in the current overlay epoch.
   void overlay_stamp(int gate, Word value, Word xmask);
   void overlay_prepare();
@@ -264,6 +323,9 @@ class LogicSim {
   std::vector<int> fanin_begin_;
   std::vector<int> fanins_;
   std::vector<int> input_index_;
+  // Sweep scratch: injections sorted by gate, and the pending bridges.
+  std::vector<Injection> injections_;
+  std::vector<BridgeInjection> bridges_;
   // Fanout CSR (transpose of the fanin CSR), built lazily on the first
   // run_cone_overlay: the event queue pushes exactly the fanouts of gates
   // whose value changed, so a dying fault effect costs nothing downstream.

@@ -275,15 +275,16 @@ void ScanBatchSim::sweep_index_words(GoodTrace& good, std::size_t w_lo,
   }
 }
 
-const std::uint64_t* ScanBatchSim::candidate_bits(const GoodTrace& good,
-                                                  const FaultSpec& fault) {
-  if (!good.exc_built) return nullptr;
+void ScanBatchSim::candidate_bits(const GoodTrace& good, const FaultSpec& fault,
+                                  std::vector<std::uint64_t>& cand) {
+  cand.clear();
+  if (!good.exc_built) return;
   const std::size_t W = good.exc_words;
   // Word-major index: a gate's (or fanin entry's) bitset is one word per
   // block, so consecutive words are one block stride apart.
   const std::size_t gates = good.exc_pin_base.size() - 1;
   const std::size_t entries = good.exc_pin_base.back();
-  scratch_cand_.assign(W, 0);
+  cand.assign(W, 0);
   const auto any1 = [&](int g) {
     return good.exc_any1.data() + static_cast<std::size_t>(g);
   };
@@ -298,7 +299,7 @@ const std::uint64_t* ScanBatchSim::candidate_bits(const GoodTrace& good,
   };
   switch (fault.kind) {
     case FaultSpec::Kind::kNone:
-      return scratch_cand_.data();  // never excited: all-zero bitset
+      return;  // never excited: all-zero bitset
     case FaultSpec::Kind::kStuckGate: {
       // Exact (for X-free cycles): s-a-v deviates in the lanes where the
       // site's fault-free value differs from v, and changes its FFR head's
@@ -307,8 +308,8 @@ const std::uint64_t* ScanBatchSim::candidate_bits(const GoodTrace& good,
       const std::uint64_t* sel =
           fault.value ? obs0(fault.gate) : obs1(fault.gate);
       for (std::size_t w = 0; w < W; ++w)
-        scratch_cand_[w] = sel[w * gates] | good.exc_x[w];
-      return scratch_cand_.data();
+        cand[w] = sel[w * gates] | good.exc_x[w];
+      return;
     }
     case FaultSpec::Kind::kStuckPin: {
       // Exact (for X-free cycles): the pin deviates the gate where its
@@ -322,8 +323,8 @@ const std::uint64_t* ScanBatchSim::candidate_bits(const GoodTrace& good,
           (fault.value ? good.exc_pin_obs0.data() : good.exc_pin_obs1.data()) +
           entry;
       for (std::size_t w = 0; w < W; ++w)
-        scratch_cand_[w] = sel[w * entries] | good.exc_x[w];
-      return scratch_cand_.data();
+        cand[w] = sel[w * entries] | good.exc_x[w];
+      return;
     }
     case FaultSpec::Kind::kBridge: {
       // Superset: an AND-type bridge (value=false) deviates a line only
@@ -345,258 +346,402 @@ const std::uint64_t* ScanBatchSim::candidate_bits(const GoodTrace& good,
         const std::size_t at = w * gates;
         const std::uint64_t dev_a = da[at] & ob[at];  // line a can deviate
         const std::uint64_t dev_b = db[at] & oa[at];  // line b can deviate
-        scratch_cand_[w] = (sa[at] & ob[at]) | (sb[at] & oa[at]) |
+        cand[w] = (sa[at] & ob[at]) | (sb[at] & oa[at]) |
                            (dev_a & dev_b) | good.exc_x[w];
       }
-      return scratch_cand_.data();
+      return;
     }
   }
-  return nullptr;
 }
 
 Word ScanBatchSim::run_faulty(std::span<const ScanPattern> batch,
                               const GoodTrace& good, const FaultSpec& fault,
-                              const std::vector<int>* cone,
+                              const std::vector<int>* cone) {
+  FaultJob job{&fault, cone};
+  run_faulty(batch, good, std::span<FaultJob>(&job, 1));
+  return job.detected;
+}
+
+void ScanBatchSim::run_faulty(std::span<const ScanPattern> batch,
+                              const GoodTrace& good, std::span<FaultJob> jobs,
                               robust::RunGuard* guard) {
   require(static_cast<int>(batch.size()) == good.num_lanes,
           "batch/trace size mismatch");
-  if (good.sliced) return run_sliced(batch, good, fault, cone, guard);
-  Word detected = evaluate(good, fault, cone,
-                           low_mask(static_cast<int>(batch.size())), -1, 0);
-
-  // Scan-out comparison of the final state. Clean lanes track the good
-  // trace by construction, so only the diverged lanes can differ; lanes at
-  // or above the lowest detecting lane cannot change the attribution (and
-  // their state may be stale), so evaluate leaves them out. A state bit
-  // that is X on either side is not a detection.
-  for (std::size_t k = 0; k < fstate_.size(); ++k)
-    detected |= (fstate_[k] ^ good.final_state[k]) & ~fstate_x_[k] &
-                ~good.final_state_x[k] & end_dirty_;
-  return detected;
-}
-
-Word ScanBatchSim::run_sliced(std::span<const ScanPattern> segments,
-                              const GoodTrace& good, const FaultSpec& fault,
-                              const std::vector<int>* cone,
-                              robust::RunGuard* guard) {
-  const Word test_detects = 1;
-  const int last = static_cast<int>(segments.size()) - 1;
-  const Word last_lane = Word{1} << last;
-
-  // First pass: every segment from its fault-free start. `first_det` is
-  // the lowest segment that detects if it is exact; the segments that end
-  // diverged below it were all tracked to their ends.
-  const Word po = evaluate(good, fault, cone, low_mask(last + 1), -1, 0);
-  const Word det = po | (end_dirty_ & last_lane);
-  const int first_det = det != 0 ? std::countr_zero(det) : last + 1;
-  const Word diverged = end_dirty_ & ~last_lane;
-  if (diverged == 0) return first_det <= last ? test_detects : 0;
-  scratch_ends_ = fstate_;
-  ++stats_.continued_faults;
-
-  // First-pass outcomes are exact from segment `exact_from` on, up to the
-  // lowest segment that ends diverged there. Continue the fault from that
-  // segment's real faulty end state until it detects, reaches the scan-out,
-  // or ends a segment in the fault-free state. At or below first_det the
-  // first pass is exact again from that boundary; above it the first pass
-  // tracked nothing, so the continuation runs on.
-  int exact_from = 0;
+  for (FaultJob& job : jobs) job.detected = 0;
+  runnable_.clear();
+  parked_.clear();
+  pack_.clear();
+  pack_cursor_.clear();
+  constexpr std::uint32_t kNoCursor = ~std::uint32_t{0};
+  std::size_t next_job = 0;
+  std::uint32_t overflow = kNoCursor;  // parked, its entries waiting for a pack
   for (;;) {
-    const Word ahead = diverged & ~low_mask(exact_from);
-    if (ahead == 0) return first_det <= last ? test_detects : 0;
-    int j = std::countr_zero(ahead);
-    std::uint32_t from = lane_bits(scratch_ends_, j);
-    bool dirty = true;
-    for (++j;; ++j) {
-      if (guard != nullptr && !guard->tick()) return 0;
-      if (evaluate(good, fault, cone, Word{1} << j, dirty ? j : -1, from) != 0)
-        return test_detects;
-      dirty = end_dirty_ != 0;
-      if (j == last) return dirty ? test_detects : 0;
-      if (dirty) {
-        from = lane_bits(fstate_, j);
-      } else if (j + 1 <= first_det) {
-        exact_from = j + 1;
+    // Fill the pack: run resumed cursors first, then start new faults, each
+    // until it parks or is done. A cursor whose entries do not fit waits
+    // for the next pack.
+    while (overflow == kNoCursor) {
+      std::uint32_t id = kNoCursor;
+      if (!runnable_.empty()) {
+        id = runnable_.back();
+        runnable_.pop_back();
+      } else if (next_job < jobs.size()) {
+        if (guard != nullptr && !guard->tick(batch.size())) {
+          next_job = jobs.size();  // the rest stay undetected
+          continue;
+        }
+        if (free_cursors_.empty()) {
+          free_cursors_.push_back(static_cast<std::uint32_t>(cursors_.size()));
+          cursors_.emplace_back();
+        }
+        id = free_cursors_.back();
+        free_cursors_.pop_back();
+        start(cursors_[id], jobs[next_job++], good);
+      } else {
         break;
       }
+      Cursor& k = cursors_[id];
+      if (!advance(k, good, guard)) {
+        free_cursors_.push_back(id);
+        continue;
+      }
+      if (pack_.size() + static_cast<std::size_t>(std::popcount(k.queued)) >
+          static_cast<std::size_t>(kWordBits)) {
+        overflow = id;
+        break;
+      }
+      queue(id, good);
+    }
+    if (pack_.empty()) return;
+    sweep_pack();
+    for (const std::uint32_t id : parked_) {
+      finish_cycle(cursors_[id], good);
+      runnable_.push_back(id);
+    }
+    parked_.clear();
+    pack_.clear();
+    pack_cursor_.clear();
+    if (overflow != kNoCursor) {
+      queue(overflow, good);
+      overflow = kNoCursor;
     }
   }
 }
 
-Word ScanBatchSim::evaluate(const GoodTrace& good, const FaultSpec& fault,
-                            const std::vector<int>* cone, Word lanes,
-                            int start_lane, std::uint32_t start_state) {
-  Word detected = 0;
-  const int num_pi = circuit_->num_pi;
-  const int num_po = circuit_->num_po;
-  const int num_sv = circuit_->num_sv;
-  const std::vector<int>& ins = circuit_->comb.inputs();
-  const std::vector<int>& outs = circuit_->comb.outputs();
-  const std::size_t sv = static_cast<std::size_t>(num_sv);
-
-  // Lazily tracked faulty state, bit-sliced: word k of fstate_ (and of its
-  // X mask fstate_x_) holds state variable k of every lane, meaningful only
-  // in the lanes of `dirty` (faulty state differs from the good trace in
-  // value or X-ness); every other lane's faulty state IS the good row's. A
-  // fault that never perturbs the state (the dominant case, thanks to
-  // cycle skipping) costs no state work per cycle.
-  fstate_.assign(sv, 0);
-  fstate_x_.assign(sv, 0);
-  Word dirty = 0;
-  if (start_lane >= 0) {
-    for (std::size_t k = 0; k < sv; ++k)
-      if ((start_state >> k) & 1u) fstate_[k] |= Word{1} << start_lane;
-    dirty |= Word{1} << start_lane;
-    ++stats_.dirty_activations;
-  }
-
-  // Candidate-cycle jumping (build_excitation_index): while no
-  // lane has diverged, cycles outside the fault's candidate bitset are
-  // provably unexcited and are skipped in blocks — the iteration jumps from
-  // set bit to set bit instead of testing excitation cycle by cycle. A
-  // diverged lane evolves state every cycle, so jumping pauses while
-  // `dirty` is nonzero and resumes when the lanes reconverge.
-  const std::uint64_t* cand =
-      cone != nullptr ? candidate_bits(good, fault) : nullptr;
+void ScanBatchSim::start(Cursor& k, FaultJob& job, const GoodTrace& good) {
+  k.job = &job;
+  const FaultSpec& fault = *job.fault;
+  const std::vector<int>* cone = job.cone;
+  // Candidate-cycle jumping (build_excitation_index): while no lane has
+  // diverged, cycles outside the fault's candidate bitset are provably
+  // unexcited and are skipped in blocks.
+  k.cand.clear();
+  if (cone != nullptr) candidate_bits(good, fault, k.cand);
 
   // Only outputs inside the fault's cone — or that are fault sites
   // themselves (compute_fault_cones removes a bridge's two lines from its
   // cone, but the overlay stamps them directly) — can ever be stamped; the
   // per-cycle PO/next-state scans probe just those.
-  scratch_po_cone_.clear();
-  scratch_sv_cone_.clear();
+  k.po_cone.clear();
+  k.sv_cone.clear();
   if (cone != nullptr) {
+    const int num_po = circuit_->num_po;
+    const std::vector<int>& outs = circuit_->comb.outputs();
     const int site = fault.gate;
     const int site2 =
         fault.kind == FaultSpec::Kind::kBridge ? fault.gate2_or_pin : -1;
-    for (int k = 0; k < num_po + num_sv; ++k) {
-      const int out = outs[static_cast<std::size_t>(k)];
+    for (int o = 0; o < num_po + circuit_->num_sv; ++o) {
+      const int out = outs[static_cast<std::size_t>(o)];
       if (out != site && out != site2 &&
           !std::binary_search(cone->begin(), cone->end(), out))
         continue;
-      if (k < num_po)
-        scratch_po_cone_.push_back(k);
+      if (o < num_po)
+        k.po_cone.push_back(o);
       else
-        scratch_sv_cone_.push_back(k - num_po);
+        k.sv_cone.push_back(o - num_po);
     }
   }
+  k.stage = good.sliced ? Cursor::Stage::kFirstPass : Cursor::Stage::kBatch;
+  begin_pass(k, low_mask(good.num_lanes), -1, 0);
+}
 
-  for (std::size_t c = 0; c < good.active.size(); ++c) {
-    if (cand != nullptr && dirty == 0) {
-      const std::size_t next = next_set_bit(cand, good.exc_words, c);
+void ScanBatchSim::begin_pass(Cursor& k, Word lanes, int start_lane,
+                              std::uint32_t start_state) {
+  const std::size_t sv = static_cast<std::size_t>(circuit_->num_sv);
+  k.lanes = lanes;
+  k.cycle = 0;
+  k.detected = 0;
+  k.dirty = 0;
+  k.fstate.assign(sv, 0);
+  k.fstate_x.assign(sv, 0);
+  if (start_lane >= 0) {
+    for (std::size_t v = 0; v < sv; ++v)
+      if ((start_state >> v) & 1u) k.fstate[v] |= Word{1} << start_lane;
+    k.dirty |= Word{1} << start_lane;
+    ++stats_.dirty_activations;
+  }
+}
+
+bool ScanBatchSim::advance(Cursor& k, const GoodTrace& good,
+                           robust::RunGuard* guard) {
+  for (;;) {
+    if (evaluate(k, good)) return true;
+    if (!next_pass(k, good, guard)) return false;
+  }
+}
+
+bool ScanBatchSim::finish(Cursor& k, Word detected) {
+  k.job->detected = detected;
+  return false;
+}
+
+bool ScanBatchSim::next_pass(Cursor& k, const GoodTrace& good,
+                             robust::RunGuard* guard) {
+  const Word test_detects = 1;
+  const int last = good.num_lanes - 1;
+  const Word last_lane = Word{1} << last;
+  switch (k.stage) {
+    case Cursor::Stage::kBatch: {
+      // Scan-out comparison of the final state. Clean lanes track the good
+      // trace by construction, so only the diverged lanes can differ; lanes
+      // at or above the lowest detecting lane cannot change the attribution
+      // (and their state may be stale), so the pass leaves them out. A
+      // state bit that is X on either side is not a detection.
+      Word detected = k.detected;
+      for (std::size_t v = 0; v < k.fstate.size(); ++v)
+        detected |= (k.fstate[v] ^ good.final_state[v]) & ~k.fstate_x[v] &
+                    ~good.final_state_x[v] & k.end_dirty;
+      return finish(k, detected);
+    }
+    case Cursor::Stage::kFirstPass: {
+      // `first_det` is the lowest segment that detects if it is exact; the
+      // segments that end diverged below it were all tracked to their ends.
+      const Word det = k.detected | (k.end_dirty & last_lane);
+      k.first_det = det != 0 ? std::countr_zero(det) : last + 1;
+      k.diverged = k.end_dirty & ~last_lane;
+      if (k.diverged == 0)
+        return finish(k, k.first_det <= last ? test_detects : 0);
+      k.ends = k.fstate;
+      ++stats_.continued_faults;
+      k.exact_from = 0;
+      break;
+    }
+    case Cursor::Stage::kContinue: {
+      if (k.detected != 0) return finish(k, test_detects);
+      const bool dirty = k.end_dirty != 0;
+      if (k.segment == last) return finish(k, dirty ? test_detects : 0);
+      if (dirty)
+        return continue_at(k, k.segment + 1, true,
+                           lane_bits(k.fstate, k.segment), guard);
+      // Above first_det the first pass tracked nothing, so the
+      // continuation runs on; at or below it the first pass is exact again
+      // from this boundary.
+      if (k.segment + 1 > k.first_det)
+        return continue_at(k, k.segment + 1, false, 0, guard);
+      k.exact_from = k.segment + 1;
+      break;
+    }
+  }
+  // First-pass outcomes are exact from segment `exact_from` on, up to the
+  // lowest segment that ends diverged there. Continue the fault from that
+  // segment's real faulty end state until it detects, reaches the scan-out,
+  // or ends a segment in the fault-free state.
+  const Word ahead = k.diverged & ~low_mask(k.exact_from);
+  if (ahead == 0) return finish(k, k.first_det <= last ? test_detects : 0);
+  const int j = std::countr_zero(ahead);
+  return continue_at(k, j + 1, true, lane_bits(k.ends, j), guard);
+}
+
+bool ScanBatchSim::continue_at(Cursor& k, int segment, bool dirty,
+                               std::uint32_t from, robust::RunGuard* guard) {
+  if (guard != nullptr && !guard->tick()) return finish(k, 0);
+  k.stage = Cursor::Stage::kContinue;
+  k.segment = segment;
+  begin_pass(k, Word{1} << segment, dirty ? segment : -1, from);
+  return true;
+}
+
+Word ScanBatchSim::take_overlay(Cursor& k, const Word* base,
+                                const Word* base_x, Word m) {
+  for (const int o : k.po_cone)
+    k.detected |= sim_.overlay_output_det_diff(o, base, base_x) & m;
+  // Lanes whose faulty next state differs from the good next state in ANY
+  // way (value or X-ness) become dirty and take their faulty next state.
+  // Tracking only detectable differences here would lose defined->X state
+  // transitions and mis-simulate later cycles.
+  const int num_po = circuit_->num_po;
+  Word ns_diff = 0;
+  for (const int v : k.sv_cone)
+    ns_diff |= sim_.overlay_output_any_diff(num_po + v, base, base_x);
+  ns_diff &= m;
+  if (ns_diff == 0) return 0;
+  for (std::size_t v = 0; v < k.fstate.size(); ++v) {
+    const int out = num_po + static_cast<int>(v);
+    k.fstate[v] = blend(ns_diff, sim_.overlay_output(out, base), k.fstate[v]);
+    k.fstate_x[v] =
+        blend(ns_diff, sim_.overlay_output_xval(out, base_x), k.fstate_x[v]);
+  }
+  return ns_diff;
+}
+
+bool ScanBatchSim::evaluate(Cursor& k, const GoodTrace& good) {
+  const FaultSpec& fault = *k.job->fault;
+  const bool has_cone = k.job->cone != nullptr;
+  const std::size_t rows = good.active.size();
+  for (std::size_t c = k.cycle; c < rows; ++c) {
+    if (!k.cand.empty() && k.dirty == 0) {
+      // A diverged lane evolves state every cycle, so jumping pauses while
+      // `dirty` is nonzero and resumes when the lanes reconverge.
+      const std::size_t next = next_set_bit(k.cand.data(), good.exc_words, c);
       if (next != c) {
-        const std::size_t stop = std::min(next, good.active.size());
+        const std::size_t stop = std::min(next, rows);
         stats_.cycles_skipped += static_cast<std::uint64_t>(stop - c);
-        if (stop == good.active.size()) break;
+        if (stop == rows) break;
         c = stop;  // fall through: this iteration processes the candidate
       }
     }
     // Once a lane detects, only *earlier* tests can change the
     // first-detection attribution, so later lanes stop mattering.
-    const Word relevant = below_lowest(detected) & lanes;
-    const Word active = good.active[c] & relevant;
+    const Word active = good.active[c] & below_lowest(k.detected) & k.lanes;
     if (active == 0) break;  // active masks only shrink; nothing left to see
 
     // The good row, and its X plane (bit-packed: nullptr for the clean
     // cycles even in an X-bearing batch).
     const Word* base = good.gate_values[c].data();
     const Word* base_x = good.gate_x_of(c);
-    const auto good_x = [base_x](int g) {
-      return base_x == nullptr ? Word{0} : base_x[g];
-    };
+    // The diverged lanes (every tracked lane without a cone) go to a pack.
+    const Word queued = has_cone ? k.dirty & active : active;
 
-    if ((dirty & active) == 0 && cone != nullptr) {
+    if (queued == 0) {
       // Every tracked lane is in the fault-free state: evaluate against the
       // good trace through the event-driven overlay (no copying). An
       // unexcited cycle (the ~97% case) is decided by the seeding predicate
       // alone — for a stuck-at-gate fault one load and compare — without
       // paying the overlay's epoch/heap setup.
-      if (!sim_.fault_excited(fault, base, base_x)) {
+      if (!sim_.fault_excited(fault, base, base_x) ||
+          sim_.run_cone_overlay(fault, base, base_x) == 0) {
         ++stats_.cycles_skipped;
         continue;  // not excited: outputs and next state match fault-free
       }
-      if (sim_.run_cone_overlay(fault, base, base_x) == 0) {
-        ++stats_.cycles_skipped;
-        continue;
-      }
       ++stats_.cycles_overlay;
-      for (int k : scratch_po_cone_)
-        detected |= sim_.overlay_output_det_diff(k, base, base_x) & active;
-      if ((below_lowest(detected) & lanes) == 0)
+      const Word ns_diff = take_overlay(k, base, base_x, active);
+      if ((below_lowest(k.detected) & k.lanes) == 0)
         break;  // the lowest tracked lane detected: nothing left to see
-      // Lanes whose faulty next state differs from the good next state in
-      // ANY way (value or X-ness) become dirty and take their faulty next
-      // state. Tracking only detectable differences here would lose
-      // defined->X state transitions and mis-simulate later cycles.
-      Word ns_diff = 0;
-      for (int k : scratch_sv_cone_)
-        ns_diff |= sim_.overlay_output_any_diff(num_po + k, base, base_x);
-      ns_diff &= active;
-      if (ns_diff == 0) continue;
-      for (std::size_t k = 0; k < sv; ++k) {
-        const int out = num_po + static_cast<int>(k);
-        fstate_[k] = blend(ns_diff, sim_.overlay_output(out, base), fstate_[k]);
-        fstate_x_[k] =
-            blend(ns_diff, sim_.overlay_output_xval(out, base_x), fstate_x_[k]);
-      }
-      dirty |= ns_diff;
+      k.dirty |= ns_diff;
       stats_.dirty_activations +=
           static_cast<std::uint64_t>(std::popcount(ns_diff));
       continue;
     }
 
-    // A diverged (or cone-less) cycle evaluates the whole faulty machine,
-    // its inputs loaded as words: the primary inputs from the good row, the
-    // state from the good row outside the dirty lanes and from the faulty
-    // state words inside them. A dirty lane can carry an X state bit into
-    // a cycle whose good row is X-free, so the state X words are loaded
-    // whatever the row.
+    // A diverged step: the clean lanes, whose faulty state is the good
+    // row's, take the overlay (a cycle outside the candidate bitset changes
+    // no head in any active lane); the queued lanes park for a pack.
     ++stats_.cycles_full;
-    sim_.clear_input_x();
-    for (int b = 0; b < num_pi; ++b) {
-      const int g = ins[static_cast<std::size_t>(b)];
-      sim_.set_input(b, base[g]);
-      if (base_x != nullptr) sim_.set_input_x(b, base_x[g]);
+    const Word clean = active & ~queued;
+    const std::uint64_t cand_bit =
+        k.cand.empty() ? 1 : (k.cand[c >> 6] >> (c & 63)) & 1u;
+    k.ns_diff = 0;
+    if (clean != 0 && cand_bit != 0 &&
+        sim_.fault_excited(fault, base, base_x) &&
+        sim_.run_cone_overlay(fault, base, base_x) != 0) {
+      k.ns_diff = take_overlay(k, base, base_x, clean);
+      if ((below_lowest(k.detected) & k.lanes) == 0) break;
     }
-    for (std::size_t k = 0; k < sv; ++k) {
-      const int i = num_pi + static_cast<int>(k);
-      const int g = ins[static_cast<std::size_t>(i)];
-      sim_.set_input(i, blend(dirty, fstate_[k], base[g]));
-      sim_.set_input_x(i, blend(dirty, fstate_x_[k], good_x(g)));
-    }
-    sim_.run(fault);
-    for (int k = 0; k < num_po; ++k) {
-      const int g = outs[static_cast<std::size_t>(k)];
-      // Detection requires both responses defined; X on either side masks
-      // the lane out for this output.
-      const Word diff = (sim_.value(g) ^ base[g]) & ~sim_.xval(g) & ~good_x(g);
-      detected |= diff & active;
-    }
-    if ((below_lowest(detected) & lanes) == 0)
-      break;  // the lowest tracked lane detected: nothing left to see
-    // The good row's next-state outputs are every active lane's good next
-    // state: the active lanes take their faulty next state and are dirty
-    // iff it differs in value or X-ness (inactive lanes keep their bits
-    // and their state).
-    Word ns_diff = 0;
-    for (std::size_t k = 0; k < sv; ++k) {
-      const int g = outs[static_cast<std::size_t>(num_po) + k];
-      const Word v = sim_.value(g);
-      const Word x = sim_.xval(g);
-      ns_diff |= (v ^ base[g]) | (x ^ good_x(g));
-      fstate_[k] = blend(active, v, fstate_[k]);
-      fstate_x_[k] = blend(active, x, fstate_x_[k]);
-    }
-    ns_diff &= active;
-    stats_.dirty_activations +=
-        static_cast<std::uint64_t>(std::popcount(ns_diff & ~dirty));
-    stats_.dirty_clears +=
-        static_cast<std::uint64_t>(std::popcount(dirty & active & ~ns_diff));
-    dirty = (dirty & ~active) | ns_diff;
+    k.cycle = c;
+    k.active = active;
+    k.queued = queued;
+    return true;
   }
+  k.cycle = rows;
+  k.end_dirty = k.dirty & below_lowest(k.detected) & k.lanes;
+  return false;
+}
 
-  end_dirty_ = dirty & below_lowest(detected) & lanes;
-  return detected;
+void ScanBatchSim::finish_cycle(Cursor& k, const GoodTrace& good) {
+  if ((below_lowest(k.detected) & k.lanes) == 0) {
+    // The lowest tracked lane detected: the pass is over.
+    k.cycle = good.active.size();
+    return;
+  }
+  // The active lanes take their faulty next state and are dirty iff it
+  // differs from the good one in value or X-ness (inactive lanes keep
+  // their bits and their state).
+  stats_.dirty_activations +=
+      static_cast<std::uint64_t>(std::popcount(k.ns_diff & ~k.dirty));
+  stats_.dirty_clears += static_cast<std::uint64_t>(
+      std::popcount(k.dirty & k.active & ~k.ns_diff));
+  k.dirty = (k.dirty & ~k.active) | k.ns_diff;
+  ++k.cycle;
+}
+
+void ScanBatchSim::queue(std::uint32_t id, const GoodTrace& good) {
+  Cursor& k = cursors_[id];
+  const Word* row = good.gate_values[k.cycle].data();
+  const Word* row_x = good.gate_x_of(k.cycle);
+  const int num_pi = circuit_->num_pi;
+  const std::vector<int>& ins = circuit_->comb.inputs();
+  for (Word q = k.queued; q != 0; q &= q - 1) {
+    const int lane = std::countr_zero(q);
+    PackedEntry e{*k.job->fault, row, row_x, lane};
+    if ((k.dirty >> lane) & 1u) {
+      e.state = lane_bits(k.fstate, lane);
+      e.state_x = lane_bits(k.fstate_x, lane);
+    } else {
+      // A clean lane of a cone-less run: its state is the good row's.
+      for (std::size_t v = 0; v < k.fstate.size(); ++v) {
+        const int g = ins[static_cast<std::size_t>(num_pi) + v];
+        e.state |= static_cast<std::uint32_t>((row[g] >> lane) & 1u) << v;
+        if (row_x != nullptr)
+          e.state_x |= static_cast<std::uint32_t>((row_x[g] >> lane) & 1u)
+                       << v;
+      }
+    }
+    pack_.push_back(e);
+    pack_cursor_.push_back(id);
+  }
+  parked_.push_back(id);
+  stats_.packed_lanes += static_cast<std::uint64_t>(std::popcount(k.queued));
+}
+
+void ScanBatchSim::sweep_pack() {
+  const int num_po = circuit_->num_po;
+  const std::size_t sv = static_cast<std::size_t>(circuit_->num_sv);
+  const std::vector<int>& outs = circuit_->comb.outputs();
+  sim_.run_packed(pack_, circuit_->num_pi);
+  ++stats_.packed_sweeps;
+  // Each entry's good outputs, gathered into the entry's bit, and the
+  // entries whose POs detect (both sides defined and opposite) or whose
+  // next state differs in value or X-ness.
+  Word det = 0;
+  Word ns_diff = 0;
+  for (std::size_t o = 0; o < outs.size(); ++o) {
+    const int g = outs[o];
+    Word gv = 0;
+    Word gx = 0;
+    for (std::size_t b = 0; b < pack_.size(); ++b) {
+      const PackedEntry& e = pack_[b];
+      gv |= ((e.row[g] >> e.lane) & 1u) << b;
+      if (e.row_x != nullptr) gx |= ((e.row_x[g] >> e.lane) & 1u) << b;
+    }
+    const Word v = sim_.value(g);
+    const Word x = sim_.xval(g);
+    if (o < static_cast<std::size_t>(num_po))
+      det |= (v ^ gv) & ~x & ~gx;
+    else
+      ns_diff |= (v ^ gv) | (x ^ gx);
+  }
+  for (std::size_t b = 0; b < pack_.size(); ++b) {
+    Cursor& k = cursors_[pack_cursor_[b]];
+    const int lane = pack_[b].lane;
+    const Word bit = Word{1} << lane;
+    k.detected |= ((det >> b) & 1u) << lane;
+    k.ns_diff |= ((ns_diff >> b) & 1u) << lane;
+    for (std::size_t v = 0; v < sv; ++v) {
+      const int g = outs[static_cast<std::size_t>(num_po) + v];
+      k.fstate[v] = (k.fstate[v] & ~bit) | (((sim_.value(g) >> b) & 1u) << lane);
+      k.fstate_x[v] =
+          (k.fstate_x[v] & ~bit) | (((sim_.xval(g) >> b) & 1u) << lane);
+    }
+  }
 }
 
 }  // namespace fstg

@@ -37,11 +37,13 @@ struct ScanPattern {
 struct ScanSimStats {
   std::uint64_t cycles_skipped = 0;     ///< unexcited cycles skipped whole
   std::uint64_t cycles_overlay = 0;     ///< cycles evaluated event-driven
-  std::uint64_t cycles_full = 0;        ///< diverged-state (full) cycles
+  std::uint64_t cycles_full = 0;        ///< diverged steps, per fault
   std::uint64_t dirty_activations = 0;  ///< lanes turning dirty
   std::uint64_t dirty_clears = 0;       ///< dirty lanes reconverging
   std::uint64_t continued_faults = 0;   ///< sliced faults continued past a
                                         ///< diverged segment end
+  std::uint64_t packed_sweeps = 0;      ///< packed evaluations run
+  std::uint64_t packed_lanes = 0;       ///< (fault, lane) steps they carried
 
   ScanSimStats& operator+=(const ScanSimStats& o) {
     cycles_skipped += o.cycles_skipped;
@@ -50,8 +52,19 @@ struct ScanSimStats {
     dirty_activations += o.dirty_activations;
     dirty_clears += o.dirty_clears;
     continued_faults += o.continued_faults;
+    packed_sweeps += o.packed_sweeps;
+    packed_lanes += o.packed_lanes;
     return *this;
   }
+};
+
+/// One fault of a run_faulty chunk: the fault, its output cone (sorted gate
+/// ids; nullptr evaluates every tracked lane in full every cycle) and, on
+/// return, its detection word.
+struct FaultJob {
+  const FaultSpec* fault = nullptr;
+  const std::vector<int>* cone = nullptr;
+  Word detected = 0;
 };
 
 /// Fault-free reference of a batch of up to 64 scan patterns (one lane per
@@ -82,7 +95,7 @@ struct GoodTrace {
   /// holds the cycle's inputs (primary inputs and the state entering the
   /// cycle) and its outputs (primary outputs and next state) as lane words,
   /// so it is both the base of the event-driven overlay and the source a
-  /// diverged faulty cycle loads its inputs from.
+  /// packed entry of a diverged step reads its primary inputs from.
   std::vector<std::vector<Word>> gate_values;
 
   /// Set by the fault-simulation engine on a time-sliced batch: the lanes
@@ -185,8 +198,10 @@ class ScanBatchSim {
   /// cycles where the faulty state still matches the fault-free state are
   /// evaluated event-driven against the good trace: no copying of good
   /// values, only gates whose fanins changed are re-evaluated, and
-  /// unexcited cycles are skipped whole. Without a cone every cycle is a
-  /// full faulty evaluation.
+  /// unexcited cycles are skipped whole. A cycle in which some tracked lane
+  /// has diverged takes its clean lanes through the same overlay and its
+  /// diverged lanes through a packed sweep. Without a cone every tracked
+  /// lane goes through the packed sweep every cycle.
   ///
   /// On a sliced trace (`good.sliced`) the lanes are segments of one test,
   /// and lane 0 of the result is set iff that whole test detects the
@@ -198,13 +213,27 @@ class ScanBatchSim {
   /// When a segment diverges below every exact detection, the fault is
   /// continued from that segment's real faulty end state, one segment per
   /// pass, until it detects, reaches the scan-out, or ends a segment in
-  /// the fault-free state where the first pass is exact again. `guard`, if
-  /// given, is ticked once per continuation pass; a trip leaves the fault
-  /// undetected.
+  /// the fault-free state where the first pass is exact again.
+  ///
+  /// This is a chunk of one; see the chunk overload.
   Word run_faulty(std::span<const ScanPattern> batch, const GoodTrace& good,
                   const FaultSpec& fault,
-                  const std::vector<int>* cone = nullptr,
-                  robust::RunGuard* guard = nullptr);
+                  const std::vector<int>* cone = nullptr);
+
+  /// run_faulty for every fault of `jobs` together, setting each job's
+  /// `detected` to what the single-fault run_faulty returns. Each fault is
+  /// a cursor over its evaluation passes that parks at every diverged
+  /// cycle with its diverged lanes queued as pack entries (fault, lane,
+  /// cycle, faulty state). Parked cursors' entries fill a pack of up to 64
+  /// from any faults; once it is full or no cursor can run on, the pack
+  /// takes one LogicSim::run_packed sweep and its cursors resume, before
+  /// new faults start. Packing changes no fault's result or dirty-set
+  /// evolution, only how many sweeps they share. `guard`, if given, is
+  /// ticked once per job as it starts (weighted by the batch width) and
+  /// once per continuation pass of a sliced trace; a trip leaves the jobs
+  /// not yet started, and a fault whose continuation it stops, undetected.
+  void run_faulty(std::span<const ScanPattern> batch, const GoodTrace& good,
+                  std::span<FaultJob> jobs, robust::RunGuard* guard = nullptr);
 
   /// Build the excitation/observability index on `good` (one backward
   /// sensitivity sweep per cycle over the netlist — roughly the cost of one
@@ -225,21 +254,78 @@ class ScanBatchSim {
   const LogicSimStats& sim_stats() const { return sim_.stats(); }
 
  private:
-  /// The faulty evaluator behind run_faulty, over the lanes in `lanes`
-  /// only. Returns their PO detections (the lowest set lane is exact; lanes
-  /// above a detection stop being tracked) and leaves in `end_dirty_` the
-  /// tracked lanes below the lowest detection whose faulty end state
-  /// differs from the fault-free one in value or X-ness (their end states
-  /// in fstate_ / fstate_x_). Lane `start_lane`, unless -1, enters cycle 0
-  /// in the two-valued faulty state `start_state` instead of its fault-free
-  /// start.
-  Word evaluate(const GoodTrace& good, const FaultSpec& fault,
-                const std::vector<int>* cone, Word lanes, int start_lane,
-                std::uint32_t start_state);
-  /// run_faulty on a sliced trace: stitch the segments (see run_faulty).
-  Word run_sliced(std::span<const ScanPattern> segments, const GoodTrace& good,
-                  const FaultSpec& fault, const std::vector<int>* cone,
-                  robust::RunGuard* guard);
+  /// The resumable state of one fault of a run_faulty chunk: its current
+  /// evaluation pass (over the lanes `lanes`, paused at `cycle` while
+  /// parked) and, on a sliced trace, where the segment stitching stands.
+  struct Cursor {
+    enum class Stage : std::uint8_t {
+      kBatch,      ///< the one pass of an unsliced batch
+      kFirstPass,  ///< a sliced trace's pass over every segment
+      kContinue,   ///< a sliced trace's pass over segment `segment`
+    };
+    FaultJob* job = nullptr;
+    Stage stage = Stage::kBatch;
+    /// The fault's candidate cycles (candidate_bits), or empty.
+    std::vector<std::uint64_t> cand;
+    /// The primary outputs and state variables inside the fault's cone.
+    std::vector<int> po_cone;
+    std::vector<int> sv_cone;
+    // The pass.
+    Word lanes = 0;
+    std::size_t cycle = 0;
+    Word detected = 0;
+    /// Tracked lanes whose faulty state differs from the good trace's in
+    /// value or X-ness; `fstate` / `fstate_x` hold every lane's faulty state
+    /// bit-sliced (word k: state variable k), meaningful in these lanes.
+    Word dirty = 0;
+    std::vector<Word> fstate;
+    std::vector<Word> fstate_x;
+    /// At the end of the pass: the dirty tracked lanes below the lowest
+    /// detection.
+    Word end_dirty = 0;
+    // The parked cycle: its tracked active lanes, the ones queued as pack
+    // entries, and the lanes whose next state differs from the good one.
+    Word active = 0;
+    Word queued = 0;
+    Word ns_diff = 0;
+    // Sliced stitching (see run_faulty).
+    int first_det = 0;
+    Word diverged = 0;
+    int exact_from = 0;
+    int segment = 0;
+    std::vector<Word> ends;  ///< the first pass's fstate
+  };
+
+  /// Set cursor `k` up for `job` and begin its first pass.
+  void start(Cursor& k, FaultJob& job, const GoodTrace& good);
+  /// Begin a pass over `lanes`; lane `start_lane`, unless -1, enters cycle
+  /// 0 in the two-valued faulty state `start_state`.
+  void begin_pass(Cursor& k, Word lanes, int start_lane,
+                  std::uint32_t start_state);
+  /// Run `k` until it parks (true; its diverged lanes in `k.queued`) or its
+  /// fault is done (false; the job's `detected` is set).
+  bool advance(Cursor& k, const GoodTrace& good, robust::RunGuard* guard);
+  /// The evaluation pass: run cycles from `k.cycle` until a diverged cycle
+  /// parks it (true) or the pass ends (false, `k.end_dirty` set).
+  bool evaluate(Cursor& k, const GoodTrace& good);
+  /// Fold the overlay of the current cycle into `k` over the lanes `m`:
+  /// their PO detections into k.detected, and their faulty next state into
+  /// k.fstate where it differs from the good one; returns those lanes.
+  Word take_overlay(Cursor& k, const Word* base, const Word* base_x, Word m);
+  /// Finish a parked cycle once the pack holding its entries has run.
+  void finish_cycle(Cursor& k, const GoodTrace& good);
+  /// After a pass: begin the next one (true) or finish the fault (false).
+  bool next_pass(Cursor& k, const GoodTrace& good, robust::RunGuard* guard);
+  /// Continue a sliced fault at segment `segment` (see run_faulty).
+  bool continue_at(Cursor& k, int segment, bool dirty, std::uint32_t from,
+                   robust::RunGuard* guard);
+  /// Finish the fault with detection word `detected`; returns false.
+  static bool finish(Cursor& k, Word detected);
+  /// Queue cursor `id`'s parked lanes as pack entries.
+  void queue(std::uint32_t id, const GoodTrace& good);
+  /// One packed sweep over the queued entries; writes each entry's PO
+  /// detection, next state and next-state difference into its cursor.
+  void sweep_pack();
 
   /// Compute the FFR head flags and size the index sweep's scratch (once
   /// per simulator; build_excitation_index calls it on the calling thread
@@ -250,24 +336,23 @@ class ScanBatchSim {
   void sweep_index_words(GoodTrace& good, std::size_t w_lo, std::size_t w_hi);
 
   /// Materialize the excitation-candidate bitset for `fault` from the good
-  /// trace's index into scratch_cand_; returns nullptr when the index is
-  /// not built (run_faulty then tests excitation cycle by cycle).
-  const std::uint64_t* candidate_bits(const GoodTrace& good,
-                                      const FaultSpec& fault);
+  /// trace's index into `cand`; leaves it empty when the index is not built
+  /// (run_faulty then tests excitation cycle by cycle).
+  static void candidate_bits(const GoodTrace& good, const FaultSpec& fault,
+                             std::vector<std::uint64_t>& cand);
 
   const ScanCircuit* circuit_;
   LogicSim sim_;
   ScanSimStats stats_;
-  // Per-fault scratch (member state so the hot fault loop never allocates).
-  // The tracked faulty state is bit-sliced, one value and one X word per
-  // state variable (see evaluate).
-  std::vector<Word> fstate_;
-  std::vector<Word> fstate_x_;
-  std::vector<std::uint64_t> scratch_cand_;
-  std::vector<int> scratch_po_cone_;
-  std::vector<int> scratch_sv_cone_;
-  std::vector<Word> scratch_ends_;  // a sliced first pass's fstate_
-  Word end_dirty_ = 0;
+  // run_faulty scratch (member state so the hot fault loop seldom
+  // allocates): a pool of cursors with its free list, the cursors runnable
+  // and parked, and the pack (entries with their cursors).
+  std::vector<Cursor> cursors_;
+  std::vector<std::uint32_t> free_cursors_;
+  std::vector<std::uint32_t> runnable_;
+  std::vector<std::uint32_t> parked_;
+  std::vector<PackedEntry> pack_;
+  std::vector<std::uint32_t> pack_cursor_;
   // Index-sweep scratch (prepare_index_scratch): FFR head flags, the
   // per-cycle head sensitivity S, and the AND/OR prefix/suffix products.
   // The sweep reads the netlist from sim_'s CSR.

@@ -136,8 +136,9 @@ TEST(FaultSimParallel, SlicedBatchMatchesReference) {
     EXPECT_TRUE(report.ok()) << report.to_string();
     EXPECT_GT(counter_delta(before, "fault_sim.sliced_tests"), 0u);
     EXPECT_GT(counter_delta(before, "fault_sim.continuations"), 0u);
-    // Diverged cycles ran the word-loaded full evaluation.
+    // Diverged steps ran, through packed sweeps.
     EXPECT_GT(counter_delta(before, "scan.cycles_full"), 0u);
+    EXPECT_GT(counter_delta(before, "scan.packed_sweeps"), 0u);
   }
 }
 
@@ -171,9 +172,10 @@ TEST(FaultSimParallel, EventDrivenMatchesReference) {
     before = obs::snapshot_metrics();
     report = difftest::run_oracle(w);
     EXPECT_TRUE(report.ok()) << report.to_string();
-    // Every shape runs diverged cycles through the word-loaded full
-    // evaluation, the X-bearing one included.
+    // Every shape runs diverged steps through packed sweeps, the
+    // X-bearing one included.
     EXPECT_GT(counter_delta(before, "scan.cycles_full"), 0u);
+    EXPECT_GT(counter_delta(before, "scan.packed_sweeps"), 0u);
   }
 }
 

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "base/rng.h"
+#include "difftest/reference_sim.h"
 #include "fault/bridging.h"
 #include "fault/fault.h"
 #include "harness/experiment.h"
+#include "kiss/benchmarks.h"
 
 namespace fstg {
 namespace {
@@ -139,6 +143,107 @@ TEST(LogicSim, RunConeEquivalentToFullRun) {
       }
     }
   }
+}
+
+/// Seeded random packs of up to 64 entries over `circuit`'s netlist, each
+/// bit checked against the scalar reference (src/difftest/reference_sim)
+/// for its entry alone: every gate's value and X. The entries mix stuck-at
+/// gate faults, stuck-at pin faults (every pin of a gate with a duplicated
+/// fanin among them), AND and OR bridges and, in every other pack, X
+/// inputs and X state; their rows, lanes and states are drawn apart.
+void expect_packed_bits_match_reference(const ScanCircuit& circuit,
+                                        std::uint64_t seed) {
+  const Netlist& nl = circuit.comb;
+  std::vector<FaultSpec> pool =
+      enumerate_stuck_at(nl, StuckAtOptions{true, /*collapse=*/false});
+  for (int g = 0; g < nl.num_gates(); ++g) {
+    std::vector<int> fanins = nl.gate(g).fanins;
+    std::sort(fanins.begin(), fanins.end());
+    if (std::adjacent_find(fanins.begin(), fanins.end()) == fanins.end())
+      continue;
+    for (std::size_t p = 0; p < fanins.size(); ++p)
+      for (const bool v : {false, true})
+        pool.push_back(FaultSpec::stuck_pin(g, static_cast<int>(p), v));
+  }
+  const std::vector<FaultSpec> bridges = enumerate_bridging(nl);
+  ASSERT_FALSE(bridges.empty());
+  pool.insert(pool.end(), bridges.begin(), bridges.end());
+
+  Rng rng(seed);
+  const std::size_t gates = static_cast<std::size_t>(nl.num_gates());
+  std::vector<std::vector<Word>> rows(8, std::vector<Word>(gates));
+  std::vector<std::vector<Word>> rows_x(8, std::vector<Word>(gates));
+  LogicSim sim(nl);
+  for (int trial = 0; trial < 24; ++trial) {
+    const bool with_x = trial % 2 == 1;
+    for (std::size_t r = 0; r < rows.size(); ++r)
+      for (std::size_t g = 0; g < gates; ++g) {
+        rows[r][g] = rng.next();
+        rows_x[r][g] = rng.next() & rng.next() & rng.next();
+      }
+    std::vector<PackedEntry> pack(rng.range(1, 64));
+    for (PackedEntry& e : pack) {
+      const std::size_t r = rng.below(rows.size());
+      e.fault = pool[rng.below(pool.size())];
+      e.row = rows[r].data();
+      e.lane = static_cast<int>(rng.below(64));
+      e.state = static_cast<std::uint32_t>(rng.next());
+      if (with_x && rng.chance(1, 2)) e.row_x = rows_x[r].data();
+      if (with_x && rng.chance(1, 2))
+        e.state_x = static_cast<std::uint32_t>(rng.next() & rng.next());
+    }
+    sim.run_packed(pack, circuit.num_pi);
+
+    for (std::size_t b = 0; b < pack.size(); ++b) {
+      const PackedEntry& e = pack[b];
+      std::vector<difftest::RV> inputs;
+      const auto rv = [](bool v, bool x) {
+        return x ? difftest::RV::kX : v ? difftest::RV::k1 : difftest::RV::k0;
+      };
+      for (int i = 0; i < nl.num_inputs(); ++i) {
+        if (i < circuit.num_pi) {
+          const std::size_t g =
+              static_cast<std::size_t>(nl.inputs()[static_cast<std::size_t>(i)]);
+          inputs.push_back(rv((e.row[g] >> e.lane) & 1u,
+                              e.row_x != nullptr && ((e.row_x[g] >> e.lane) & 1u)));
+        } else {
+          const int k = i - circuit.num_pi;
+          inputs.push_back(rv((e.state >> k) & 1u, (e.state_x >> k) & 1u));
+        }
+      }
+      const std::vector<difftest::RV> expect =
+          difftest::reference_eval(nl, inputs, e.fault);
+      for (int g = 0; g < nl.num_gates(); ++g) {
+        const difftest::RV got =
+            rv((sim.value(g) >> b) & 1u, (sim.xval(g) >> b) & 1u);
+        ASSERT_EQ(got, expect[static_cast<std::size_t>(g)])
+            << "trial " << trial << " bit " << b << " gate " << g << " fault "
+            << describe_fault(nl, e.fault);
+      }
+    }
+  }
+}
+
+TEST(LogicSim, PackedSweepMatchesReferencePerBit) {
+  expect_packed_bits_match_reference(run_circuit("dk17").synth.circuit, 17);
+  expect_packed_bits_match_reference(run_circuit("keyb").synth.circuit, 5);
+  SynthesisOptions multilevel;
+  multilevel.multilevel = true;
+  multilevel.max_fanin = 3;
+  expect_packed_bits_match_reference(
+      synthesize_scan_circuit(load_benchmark("mark1"), multilevel).circuit, 1);
+  // A netlist whose AND reads one driver on both pins, so the duplicated
+  // pin faults are in the pool for sure.
+  ScanCircuit dup;
+  dup.comb = diamond();
+  const int a = dup.comb.inputs()[0];
+  const int b = dup.comb.inputs()[1];
+  const int both = dup.comb.add_gate(GateType::kAnd, {a, a, b});
+  dup.comb.add_output(dup.comb.add_gate(GateType::kXor, {both, a}));
+  dup.num_pi = 1;
+  dup.num_sv = 1;
+  dup.num_po = 2;
+  expect_packed_bits_match_reference(dup, 3);
 }
 
 }  // namespace

@@ -67,8 +67,8 @@ TEST_F(ScanSimLion, FaultFreeRunDetectsNothing) {
 
 /// Runs every stuck-at and bridging fault of `exp`'s circuit over its
 /// generated tests as one batch, through the event-driven path (with the
-/// fault's cone) and the full path (every cycle one word-loaded faulty
-/// evaluation); both must name the same first detecting lane. Returns the
+/// fault's cone) and the full path (every tracked lane a packed-sweep entry
+/// every cycle); both must name the same first detecting lane. Returns the
 /// event-driven path's diverged cycles.
 std::uint64_t expect_cone_and_full_paths_agree(const CircuitExperiment& exp) {
   const ScanCircuit& circuit = exp.synth.circuit;

@@ -20,6 +20,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -129,6 +130,39 @@ TEST(FrameCodec, OversizedLengthIsAStickyError) {
   decoder.feed(wire.data(), wire.size());
   EXPECT_EQ(decoder.next(&out, &error), serve::FrameDecoder::Outcome::kError);
   EXPECT_EQ(decoder.buffered_bytes(), 0u);
+}
+
+TEST(FrameCodec, DefaultCapHoldsAFrameOfExactlyTheCap) {
+  // A sim request embeds a whole test file; the largest `fstg gen` writes
+  // (nucpwr's) is about 8.9 MB.
+  static_assert(serve::kDefaultMaxFrameBytes >= std::size_t{16} << 20);
+  const std::size_t cap = serve::kDefaultMaxFrameBytes;
+  const auto length_prefix = [](std::size_t n) {
+    return std::string{static_cast<char>(n & 0xff),
+                       static_cast<char>((n >> 8) & 0xff),
+                       static_cast<char>((n >> 16) & 0xff),
+                       static_cast<char>((n >> 24) & 0xff)};
+  };
+  const std::string prefix = length_prefix(cap);
+  serve::FrameDecoder decoder;
+  decoder.feed(prefix.data(), prefix.size());
+  const std::string piece(std::size_t{1} << 20, 'x');
+  std::string out, error;
+  for (std::size_t fed = 0; fed < cap; fed += piece.size()) {
+    ASSERT_EQ(decoder.next(&out, &error),
+              serve::FrameDecoder::Outcome::kNeedMore);
+    decoder.feed(piece.data(), std::min(piece.size(), cap - fed));
+  }
+  ASSERT_EQ(decoder.next(&out, &error), serve::FrameDecoder::Outcome::kFrame)
+      << error;
+  EXPECT_EQ(out.size(), cap);
+
+  // One byte more is refused before any payload byte is buffered.
+  const std::string over_prefix = length_prefix(cap + 1);
+  serve::FrameDecoder refusing;
+  refusing.feed(over_prefix.data(), over_prefix.size());
+  EXPECT_EQ(refusing.next(&out, &error),
+            serve::FrameDecoder::Outcome::kError);
 }
 
 // --- request/response codec ----------------------------------------------
@@ -639,6 +673,44 @@ TEST(ServeServer, StaticPruneLeavesSimTotalsUnchanged) {
     ASSERT_TRUE(plain != nullptr && pruned != nullptr) << key;
     EXPECT_EQ(plain->number, pruned->number) << key;
   }
+}
+
+TEST(ServeServer, SimRequestAboveFourMebibytesGetsATypedOkResponse) {
+  // Under the default frame cap a sim request may carry a test file of
+  // several MB, as `fstg gen nucpwr` writes: lion's tests repeated past
+  // 4 MiB make one.
+  ServerFixture fx("large.sock");
+  fx.start();
+  serve::Client client;
+  fx.connect(&client);
+  const std::string text = tests_text_for("lion");
+  const std::size_t count_at = text.find(".tests ");
+  ASSERT_NE(count_at, std::string::npos);
+  const std::size_t body_at = text.find('\n', count_at) + 1;
+  const std::string body = text.substr(body_at);
+  const std::size_t per_copy = static_cast<std::size_t>(
+      std::count(body.begin(), body.end(), '\n'));
+  std::string tests;
+  std::size_t copies = 0;
+  for (; tests.size() <= (std::size_t{9} << 19); ++copies) tests += body;
+  serve::ServeRequest sim;
+  sim.id = "large";
+  sim.type = "sim";
+  sim.circuit = "lion";
+  sim.tests = text.substr(0, count_at) + ".tests " +
+              std::to_string(copies * per_copy) + "\n" + tests;
+  const std::string request = serve::serve_request_to_json(sim);
+  ASSERT_GT(request.size(), std::size_t{4} << 20);
+  std::string error;
+  ASSERT_TRUE(client.send(request, &error)) << error;
+  const serve::ServeResponse resp = must_recv(client, 120000);
+  EXPECT_EQ(resp.id, "large");
+  ASSERT_EQ(resp.status, "ok") << resp.error;
+  obs::Json doc;
+  ASSERT_TRUE(obs::parse_json(resp.result_json, &doc, &error)) << error;
+  const obs::Json* result = doc.find("result");
+  ASSERT_NE(result, nullptr) << resp.result_json;
+  EXPECT_EQ(result->num("sa_coverage"), 100.0);
 }
 
 TEST(ServeServer, StopDrainsQueuedRequestsWithTypedResponses) {
