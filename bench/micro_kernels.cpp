@@ -1,7 +1,4 @@
-// google-benchmark micro kernels for the computational cores, including an
-// ablation of the two fault-simulation optimizations (cone fast path and
-// minimum-lane early exit are exercised together in FaultSimCone vs the
-// plain full-evaluation FaultSimFull).
+// google-benchmark micro kernels for the computational cores.
 
 #include <benchmark/benchmark.h>
 
@@ -57,7 +54,9 @@ void BM_LogicSimFullEval(benchmark::State& state) {
 }
 BENCHMARK(BM_LogicSimFullEval);
 
-void run_fault_sim(benchmark::State& state, bool use_cones) {
+/// The fault simulator's kernel: mark1's stuck-at faults as one chunk over
+/// one 64-test batch (event-driven, cone fast path, early exit), serial.
+void BM_FaultSimCone(benchmark::State& state) {
   const CircuitExperiment& exp = mark1_experiment();
   const ScanCircuit& circuit = exp.synth.circuit;
   const std::vector<FaultSpec> faults = enumerate_stuck_at(circuit.comb);
@@ -70,21 +69,18 @@ void run_fault_sim(benchmark::State& state, bool use_cones) {
       patterns.begin(),
       patterns.begin() + std::min<std::size_t>(64, patterns.size()));
   const GoodTrace good = sim.run_good(batch);
+  std::vector<FaultJob> jobs(faults.size());
+  for (std::size_t f = 0; f < faults.size(); ++f)
+    jobs[f] = {&faults[f], &cones[f]};
   for (auto _ : state) {
+    sim.run_faulty(batch, good, jobs);
     std::size_t detected = 0;
-    for (std::size_t f = 0; f < faults.size(); ++f)
-      detected += sim.run_faulty(batch, good, faults[f],
-                                 use_cones ? &cones[f] : nullptr) != 0;
+    for (const FaultJob& job : jobs) detected += job.detected != 0;
     benchmark::DoNotOptimize(detected);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(faults.size()));
 }
-
-void BM_FaultSimFull(benchmark::State& state) { run_fault_sim(state, false); }
-BENCHMARK(BM_FaultSimFull);
-
-void BM_FaultSimCone(benchmark::State& state) { run_fault_sim(state, true); }
 BENCHMARK(BM_FaultSimCone);
 
 void BM_TautologyCheck(benchmark::State& state) {

@@ -331,7 +331,6 @@ void register_analysis_counters() {
       "analysis.learned_implications", "analysis.faults_checked",
       "analysis.unexcitable",    "analysis.unpropagatable",
       "analysis.equiv_merged",   "analysis.pruned",
-      "analysis.static_consults", "analysis.static_undetectable",
   };
   for (const char* name : kNames) obs::counter(name);
 }

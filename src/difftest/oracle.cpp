@@ -254,9 +254,11 @@ void check_compaction(const Workload& w, Reporter& report) {
 }
 
 /// The static-redundancy contract: cross-check the fault-independent
-/// implication engine (analysis/static_faults.h) against the exhaustive
-/// engine, which is ground truth here (generated workloads stay far below
-/// the pi + sv <= 22 exhaustive limit).
+/// implication engine (analysis/static_faults.h) against the engine's
+/// exhaustive classification, which is ground truth here (generated
+/// workloads stay far below the pi + sv <= 22 exhaustive limit). This
+/// tests the analyzer against the engine; the oracle's other checks hold
+/// the engine to the scalar reference.
 ///  - soundness: a fault the analyzer proves untestable must be
 ///    kUndetectable exhaustively — one exhaustively detectable "proof"
 ///    is an engine bug, not a precision loss;
@@ -271,8 +273,8 @@ void check_static_redundancy(const Workload& w, const EngineRun& base,
 
   RedundancyResult exhaustive;
   try {
-    // All-miss detection vector + no statics: every fault goes through the
-    // exhaustive scan, independent of the engine under test.
+    // All-miss detection vector: every fault goes through the exhaustive
+    // length-one scan tests.
     exhaustive = classify_faults_from(
         w.circuit, w.faults, std::vector<int>(w.faults.size(), -1));
   } catch (const std::exception& e) {

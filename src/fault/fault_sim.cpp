@@ -216,8 +216,9 @@ GoodTrace sliced_good_trace(ScanBatchSim& sim,
   }
 }
 
-/// Fault-level parallelism only pays off once a batch carries enough live
-/// faults to amortize the fork/join of one parallel region.
+/// Fault-level parallelism, and a batch's excitation index, only pay off
+/// once the batch carries enough live faults to amortize the fork/join of
+/// one parallel region and the index's sweep.
 constexpr std::size_t kMinParallelFaults = 64;
 
 }  // namespace
@@ -227,10 +228,19 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
                                        const std::vector<FaultSpec>& faults,
                                        robust::RunGuard& guard,
                                        const FaultSimOptions& options) {
+  return simulate_faults_guarded(circuit, to_scan_patterns(tests), faults,
+                                 guard, options);
+}
+
+FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
+                                       const std::vector<ScanPattern>& patterns,
+                                       const std::vector<FaultSpec>& faults,
+                                       robust::RunGuard& guard,
+                                       const FaultSimOptions& options) {
   FaultSimResult result;
   result.total_faults = faults.size();
   result.detected_by.assign(faults.size(), -1);
-  result.test_effective.assign(tests.tests.size(), false);
+  result.test_effective.assign(patterns.size(), false);
 
   static const obs::Counter c_runs = obs::counter("fault_sim.runs");
   static const obs::Counter c_batches_expected =
@@ -247,9 +257,8 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
   c_runs.inc();
   obs::StageScope run_scope("fault_sim.run",
                             std::to_string(faults.size()) + " faults / " +
-                                std::to_string(tests.tests.size()) + " tests");
+                                std::to_string(patterns.size()) + " tests");
 
-  const std::vector<ScanPattern> patterns = to_scan_patterns(tests);
   const std::vector<std::vector<int>> cones =
       options.reachability
           ? compute_fault_cones(circuit.comb, faults, *options.reachability)
@@ -317,8 +326,12 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
     }
     // One excitation/observability index per batch, shared read-only by
     // every worker; its words split across the slots (same index for any
-    // split).
-    {
+    // split). It costs about one extra good simulation, so a batch builds
+    // it only where it carries enough live faults to pay that back; below
+    // the bar each fault tests excitation cycle by cycle. The index only
+    // skips cycles that change no output or next state, so the results
+    // are the same either way.
+    if (alive.size() >= kMinParallelFaults) {
       obs::Span span("fault_sim.excitation_index");
       ScanBatchSim::build_excitation_index(good, slots);
     }

@@ -91,12 +91,22 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
                                        robust::RunGuard& guard,
                                        const FaultSimOptions& options = {});
 
+/// The engine over scan patterns, one per test (`detected_by` and
+/// `test_effective` index `patterns`). The redundancy classifier runs its
+/// exhaustive length-one tests through it.
+FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
+                                       const std::vector<ScanPattern>& patterns,
+                                       const std::vector<FaultSpec>& faults,
+                                       robust::RunGuard& guard,
+                                       const FaultSimOptions& options = {});
+
 /// Convert functional tests (on the completed table, whose state index is
 /// the state code) into scan patterns.
 std::vector<ScanPattern> to_scan_patterns(const TestSet& tests);
 
 /// Output cone of each fault (sorted gate ids the single-fault-propagation
-/// fast path re-evaluates). Exposed for the redundancy checker and tests.
+/// fast path re-evaluates), as a FaultJob carries it. Exposed for the
+/// kernel micro-benchmark, which drives ScanBatchSim directly.
 std::vector<std::vector<int>> compute_fault_cones(
     const Netlist& nl, const std::vector<FaultSpec>& faults);
 

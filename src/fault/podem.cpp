@@ -313,30 +313,22 @@ class Podem {
   std::vector<Decision> decisions_;
 };
 
-/// Shared-guard variant used by both entry points (gate_level_atpg runs
-/// many targets against one budget).
-PodemResult podem_guarded(const ScanCircuit& circuit, const FaultSpec& fault,
-                          const PodemOptions& options,
-                          robust::RunGuard& guard) {
-  Podem engine(circuit, fault, options);
-  PodemResult result = engine.run(guard);
-  if (result.status == PodemResult::Status::kDetected) {
-    // Safety net: the generated vector must actually detect the fault.
-    ScanBatchSim sim(circuit);
-    const std::vector<ScanPattern> batch = {result.pattern};
-    const GoodTrace good = sim.run_good(batch);
-    require(sim.run_faulty(batch, good, fault) != 0,
-            "podem: generated vector fails verification");
-  }
-  return result;
-}
-
 }  // namespace
 
 PodemResult podem(const ScanCircuit& circuit, const FaultSpec& fault,
                   const PodemOptions& options) {
   robust::RunGuard guard(options.budget, "podem.run");
-  return podem_guarded(circuit, fault, options, guard);
+  PodemResult result = Podem(circuit, fault, options).run(guard);
+  if (result.status == PodemResult::Status::kDetected) {
+    // Safety net: the generated vector must actually detect the fault
+    // (gate_level_atpg's dropping pass checks its vectors the same way).
+    TestSet one;
+    one.tests.push_back({static_cast<int>(result.pattern.init_state),
+                         result.pattern.inputs, -1, {}});
+    require(simulate_faults(circuit, one, {fault}).detected_faults == 1,
+            "podem: generated vector fails verification");
+  }
+  return result;
 }
 
 GateAtpgResult gate_level_atpg(const ScanCircuit& circuit,
@@ -355,7 +347,7 @@ GateAtpgResult gate_level_atpg(const ScanCircuit& circuit,
         if (!dropped[g]) ++result.unprocessed;
       break;
     }
-    PodemResult r = podem_guarded(circuit, faults[f], options, guard);
+    PodemResult r = Podem(circuit, faults[f], options).run(guard);
     if (r.budget_exhausted) {
       result.complete = false;
       for (std::size_t g = f; g < faults.size(); ++g)

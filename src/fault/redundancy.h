@@ -2,10 +2,6 @@
 
 #include "fault/fault_sim.h"
 
-namespace fstg::analysis {
-class StaticAnalyzer;
-}  // namespace fstg::analysis
-
 namespace fstg {
 
 /// Status of one fault after the paper's two-stage verification.
@@ -42,20 +38,15 @@ RedundancyResult classify_faults(const ScanCircuit& circuit,
 
 /// Variant reusing an existing simulation of the same fault list (e.g. the
 /// one produced by select_effective_tests), so the test-set pass is not
-/// repeated: only the misses are re-simulated exhaustively. `reach` may
-/// hold a precomputed forward_reachability(circuit.comb) matrix to reuse
-/// across fault sets (null = compute internally).
-///
-/// `statics` (optional) consults the fault-independent implication engine
-/// first: misses it proves untestable are classified kUndetectable without
-/// any exhaustive enumeration (counted under analysis.static_undetectable).
-/// The sv + pi <= 22 limit then only applies when some miss still needs
-/// the exhaustive scan — statically resolved circuits classify at any
-/// size instead of erroring out.
-RedundancyResult classify_faults_from(
-    const ScanCircuit& circuit, const std::vector<FaultSpec>& faults,
-    const std::vector<int>& detected_by,
-    const std::vector<BitVec>* reach = nullptr,
-    const analysis::StaticAnalyzer* statics = nullptr);
+/// repeated: the misses alone go through one more engine run, over the
+/// exhaustive length-one scan tests, and a miss is kMissedDetectable iff
+/// that run detects it. `options` is the engine's (threads, and a
+/// precomputed reachability matrix to reuse across fault sets); the run is
+/// unbudgeted, under its own guard site `redundancy.classify`. Requires
+/// sv + pi <= 22 whenever some fault is missed.
+RedundancyResult classify_faults_from(const ScanCircuit& circuit,
+                                      const std::vector<FaultSpec>& faults,
+                                      const std::vector<int>& detected_by,
+                                      const FaultSimOptions& options = {});
 
 }  // namespace fstg

@@ -1,7 +1,5 @@
 #include "harness/experiment.h"
 
-#include <memory>
-
 #include "analysis/static_faults.h"
 #include "base/error.h"
 #include "base/log.h"
@@ -187,17 +185,15 @@ GateLevelResult gate_level(const CircuitExperiment& exp, const TestSet& tests,
     harness::save_reach(cache, rkey, reach);
   }
   // Optional static pre-flight: prove faults untestable without a single
-  // simulated pattern. The analyzer is kept alive so the redundancy
-  // classifier below can consult the same verdicts for the misses.
-  std::unique_ptr<analysis::StaticAnalyzer> statics;
+  // simulated pattern.
   analysis::FaultAnalysis sa_static, br_static;
   if (options.static_prune) {
     obs::StageScope scope("analysis.static_prune", exp.fsm.name);
     static const obs::Counter c_pruned = obs::counter("analysis.pruned");
-    statics = std::make_unique<analysis::StaticAnalyzer>(
-        circuit.comb, analysis::AnalyzerOptions{}, &reach);
-    sa_static = statics->analyze(result.sa_faults);
-    br_static = statics->analyze(result.br_faults);
+    const analysis::StaticAnalyzer statics(circuit.comb,
+                                           analysis::AnalyzerOptions{}, &reach);
+    sa_static = statics.analyze(result.sa_faults);
+    br_static = statics.analyze(result.br_faults);
     result.static_pruned = true;
     result.sa_pruned = sa_static.untestable();
     result.br_pruned = br_static.untestable();
@@ -260,15 +256,13 @@ GateLevelResult gate_level(const CircuitExperiment& exp, const TestSet& tests,
       std::vector<int>(split, detected_by.end()), true);
 
   if (options.classify_redundancy) {
-    // Reuse the compaction pass's simulation: only the misses get the
-    // exhaustive re-check, and the static verdicts settle pruned faults.
+    // Reuse the compaction pass's simulation: only the misses (pruned
+    // faults included) get the exhaustive re-check.
     obs::StageScope scope("redundancy.classify", exp.fsm.name);
-    result.sa_redundancy =
-        classify_faults_from(circuit, result.sa_faults,
-                             result.sa.sim.detected_by, &reach, statics.get());
-    result.br_redundancy =
-        classify_faults_from(circuit, result.br_faults,
-                             result.br.sim.detected_by, &reach, statics.get());
+    result.sa_redundancy = classify_faults_from(
+        circuit, result.sa_faults, result.sa.sim.detected_by, sim_options);
+    result.br_redundancy = classify_faults_from(
+        circuit, result.br_faults, result.br.sim.detected_by, sim_options);
     result.redundancy_classified = true;
   }
   return result;

@@ -92,15 +92,14 @@ struct GateLevelOptions {
   /// Run the fault-independent static implication engine before any
   /// simulation and leave the faults it proves untestable out of the
   /// simulation. They stay in every list and total as undetected faults,
-  /// so no reported number changes. The same analyzer then backs the
-  /// redundancy classifier, so statically-resolved misses skip the
-  /// exhaustive scan.
+  /// so no reported number changes; redundancy classification re-checks
+  /// them exhaustively like any other miss.
   bool static_prune = false;
   /// Bounds the one simulation of the stuck-at list followed by the
   /// bridging list: one RunGuard at site `fault_sim.batch`, and BudgetError
   /// is thrown if it stops early (partial coverage would under-report).
-  /// Fault enumeration, static pruning and redundancy classification are
-  /// not budgeted.
+  /// Fault enumeration, static pruning and redundancy classification (its
+  /// own engine run, at site `redundancy.classify`) are not budgeted.
   robust::Budget budget;
 };
 

@@ -8,17 +8,10 @@ namespace fstg {
 
 namespace {
 
-/// Do two {0,1,-} cubes intersect (share at least one minterm)?
-bool cubes_intersect(const std::string& a, const std::string& b) {
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != '-' && b[i] != '-' && a[i] != b[i]) return false;
-  }
-  return true;
-}
-
-/// Are two output patterns compatible (no bit specified 0 in one and 1 in
-/// the other)?
-bool outputs_compatible(const std::string& a, const std::string& b) {
+/// Do two {0,1,-} patterns agree wherever both are specified? For input
+/// cubes that means they share a minterm; for output patterns, that no bit
+/// is 0 in one and 1 in the other.
+bool patterns_compatible(const std::string& a, const std::string& b) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (a[i] != '-' && b[i] != '-' && a[i] != b[i]) return false;
   }
@@ -26,6 +19,11 @@ bool outputs_compatible(const std::string& a, const std::string& b) {
 }
 
 }  // namespace
+
+bool rows_conflict(const Kiss2Row& a, const Kiss2Row& b) {
+  return a.present == b.present && patterns_compatible(a.input, b.input) &&
+         (a.next != b.next || !patterns_compatible(a.output, b.output));
+}
 
 int Kiss2Fsm::state_index(const std::string& state) const {
   for (std::size_t i = 0; i < state_names.size(); ++i)
@@ -45,9 +43,7 @@ void Kiss2Fsm::check_deterministic() const {
     for (std::size_t j = i + 1; j < rows.size(); ++j) {
       const Kiss2Row& a = rows[i];
       const Kiss2Row& b = rows[j];
-      if (a.present != b.present) continue;
-      if (!cubes_intersect(a.input, b.input)) continue;
-      if (a.next != b.next || !outputs_compatible(a.output, b.output)) {
+      if (rows_conflict(a, b)) {
         throw Error("nondeterministic rows for state " + a.present +
                     ": inputs " + a.input + " and " + b.input + " overlap");
       }

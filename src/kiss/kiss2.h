@@ -18,6 +18,12 @@ struct Kiss2Row {
   int line = 0;
 };
 
+/// The KISS2 row-conflict rule: two rows conflict iff they share a present
+/// state, their input cubes share a minterm, and they differ in next state
+/// or in an output bit both specify (0 against 1). A machine is
+/// deterministic iff no two of its rows conflict.
+bool rows_conflict(const Kiss2Row& a, const Kiss2Row& b);
+
 /// An FSM as read from (or written to) a KISS2 file. This is the *symbolic*
 /// representation; encoding and completion happen downstream (fsm/, netlist/).
 struct Kiss2Fsm {
@@ -37,10 +43,7 @@ struct Kiss2Fsm {
   /// Registers the name if new; returns its index.
   int intern_state(const std::string& name);
 
-  /// Throws Error if two rows give conflicting next-state/output for some
-  /// (state, input combination). Don't-care output bits conflict only with
-  /// opposing specified bits. O(rows^2 * 2^shared) in the worst case but
-  /// rows per state are few.
+  /// Throws Error if two rows conflict (rows_conflict). O(rows^2).
   void check_deterministic() const;
 
   /// True if every (state, input combination) is covered by some row.

@@ -15,22 +15,6 @@ namespace fstg::lint {
 
 namespace {
 
-/// Do two {0,1,-} cubes share a minterm? Mirrors kiss2.cpp exactly: the
-/// fuzz harness enforces `no fsm-nondeterministic finding <=> expand_fsm
-/// accepts`, so this predicate must not drift from check_deterministic's.
-bool cubes_intersect(const std::string& a, const std::string& b) {
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (a[i] != '-' && b[i] != '-' && a[i] != b[i]) return false;
-  return true;
-}
-
-/// No bit specified 0 in one pattern and 1 in the other (kiss2.cpp mirror).
-bool outputs_compatible(const std::string& a, const std::string& b) {
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (a[i] != '-' && b[i] != '-' && a[i] != b[i]) return false;
-  return true;
-}
-
 /// Removing row `b` changes nothing when `a` stays: b's input cube is
 /// contained in a's, the next states agree, and every output bit b
 /// specifies is specified identically by a.
@@ -87,8 +71,9 @@ void lint_fsm_symbolic(const Kiss2Fsm& fsm, robust::RunGuard& guard,
         }
         const Kiss2Row& a = fsm.rows[idxs[i]];
         const Kiss2Row& b = fsm.rows[idxs[j]];
-        if (!cubes_intersect(a.input, b.input)) continue;
-        if (a.next != b.next || !outputs_compatible(a.output, b.output)) {
+        // A row that subsumes another shares its minterms, so rows whose
+        // input cubes are disjoint fall through every branch.
+        if (rows_conflict(a, b)) {
           report.add("fsm-nondeterministic",
                      "state " + state + ": rows at lines " +
                          std::to_string(a.line) + " and " +
@@ -226,82 +211,78 @@ void lint_state_table(const StateTable& table, const FsmLintOptions& options,
                       robust::RunGuard& guard, LintReport& report) {
   // --- fsm-equivalent-states: partition refinement; one finding per
   // multi-state equivalence class.
-  if (options.check_equivalence) {
-    if (!guard.tick(table.num_transitions())) {
-      report.truncated = true;
-      return;
-    }
-    const MinimizationResult min = minimize(table);
-    if (min.num_blocks < table.num_states()) {
-      std::vector<std::vector<int>> members(
-          static_cast<std::size_t>(min.num_blocks));
-      for (int s = 0; s < table.num_states(); ++s)
-        members[static_cast<std::size_t>(min.block_of_state[s])].push_back(s);
-      for (const std::vector<int>& block : members) {
-        if (block.size() < 2) continue;
-        std::string names;
-        for (int s : block) {
-          if (!names.empty()) names += ", ";
-          names += state_label(table, s);
-        }
-        report.add("fsm-equivalent-states",
-                   "states " + names +
-                       " are output-equivalent; the machine is reducible",
-                   "merge the equivalent states — none of them can have a "
-                   "UIO sequence");
+  if (!guard.tick(table.num_transitions())) {
+    report.truncated = true;
+    return;
+  }
+  const MinimizationResult min = minimize(table);
+  if (min.num_blocks < table.num_states()) {
+    std::vector<std::vector<int>> members(
+        static_cast<std::size_t>(min.num_blocks));
+    for (int s = 0; s < table.num_states(); ++s)
+      members[static_cast<std::size_t>(min.block_of_state[s])].push_back(s);
+    for (const std::vector<int>& block : members) {
+      if (block.size() < 2) continue;
+      std::string names;
+      for (int s : block) {
+        if (!names.empty()) names += ", ";
+        names += state_label(table, s);
       }
+      report.add("fsm-equivalent-states",
+                 "states " + names +
+                     " are output-equivalent; the machine is reducible",
+                 "merge the equivalent states — none of them can have a "
+                 "UIO sequence");
     }
   }
 
   // --- fsm-no-uio: states without a UIO of length <= L, with the state
   // pairs that block one (every t the state cannot be told apart from
   // within L inputs).
-  if (options.check_uio) {
-    UioOptions uio_options;
-    uio_options.max_length = options.uio_max_length;
-    const UioSet uios = derive_uio_sequences(table, uio_options);
-    const int max_len = uio_options.effective_max_length(table);
-    if (!uios.complete()) report.truncated = true;
-    for (int s = 0; s < table.num_states(); ++s) {
-      const UioSequence& uio = uios.of(s);
-      // An aborted search is a budget artifact, not evidence of absence.
-      if (uio.exists || uio.aborted) continue;
-      std::vector<std::string> blocking;
-      bool pairs_cut = false;
-      for (int t = 0; t < table.num_states() && !pairs_cut; ++t) {
-        if (t == s) continue;
-        const DistinguishingSearch search =
-            distinguishing_sequence_guarded(table, s, t, guard);
-        if (search.budget_exhausted) {
-          pairs_cut = true;
-          report.truncated = true;
-          break;
-        }
-        if (!search.seq || static_cast<int>(search.seq->size()) > max_len)
-          blocking.push_back(state_label(table, t));
+  UioOptions uio_options;
+  uio_options.max_length = options.uio_max_length;
+  const UioSet uios = derive_uio_sequences(table, uio_options);
+  const int max_len = uio_options.effective_max_length(table);
+  if (!uios.complete()) report.truncated = true;
+  for (int s = 0; s < table.num_states(); ++s) {
+    const UioSequence& uio = uios.of(s);
+    // An aborted search is a budget artifact, not evidence of absence.
+    if (uio.exists || uio.aborted) continue;
+    std::vector<std::string> blocking;
+    bool pairs_cut = false;
+    for (int t = 0; t < table.num_states() && !pairs_cut; ++t) {
+      if (t == s) continue;
+      const DistinguishingSearch search =
+          distinguishing_sequence_guarded(table, s, t, guard);
+      if (search.budget_exhausted) {
+        pairs_cut = true;
+        report.truncated = true;
+        break;
       }
-      std::string message = "state " + state_label(table, s) +
-                            " has no UIO sequence of length <= " +
-                            std::to_string(max_len);
-      if (!blocking.empty()) {
-        message += "; indistinguishable within " + std::to_string(max_len) +
-                   " inputs from ";
-        constexpr std::size_t kMaxListed = 4;
-        for (std::size_t i = 0; i < blocking.size() && i < kMaxListed; ++i) {
-          if (i > 0) message += ", ";
-          message += blocking[i];
-        }
-        if (blocking.size() > kMaxListed)
-          message +=
-              " (+" + std::to_string(blocking.size() - kMaxListed) + " more)";
-      } else if (pairs_cut) {
-        message += " (pair analysis cut short by the lint budget)";
-      }
-      report.add("fsm-no-uio", message,
-                 "the generator falls back to scan-out for this state; to "
-                 "restore test chaining, make its output behaviour unique");
-      if (pairs_cut) break;
+      if (!search.seq || static_cast<int>(search.seq->size()) > max_len)
+        blocking.push_back(state_label(table, t));
     }
+    std::string message = "state " + state_label(table, s) +
+                          " has no UIO sequence of length <= " +
+                          std::to_string(max_len);
+    if (!blocking.empty()) {
+      message += "; indistinguishable within " + std::to_string(max_len) +
+                 " inputs from ";
+      constexpr std::size_t kMaxListed = 4;
+      for (std::size_t i = 0; i < blocking.size() && i < kMaxListed; ++i) {
+        if (i > 0) message += ", ";
+        message += blocking[i];
+      }
+      if (blocking.size() > kMaxListed)
+        message += " (+" + std::to_string(blocking.size() - kMaxListed) +
+                   " more)";
+    } else if (pairs_cut) {
+      message += " (pair analysis cut short by the lint budget)";
+    }
+    report.add("fsm-no-uio", message,
+               "the generator falls back to scan-out for this state; to "
+               "restore test chaining, make its output behaviour unique");
+    if (pairs_cut) break;
   }
 }
 

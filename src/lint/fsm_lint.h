@@ -12,8 +12,6 @@ struct FsmLintOptions {
   /// UIO length bound L; 0 means the machine's state_bits() (the paper's
   /// N_SV bound — a UIO longer than a scan operation is never applied).
   int uio_max_length = 0;
-  bool check_equivalence = true;
-  bool check_uio = true;
 };
 
 /// Symbolic analyses on the KISS2 rows — no completion or determinization

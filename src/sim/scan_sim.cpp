@@ -354,14 +354,6 @@ void ScanBatchSim::candidate_bits(const GoodTrace& good, const FaultSpec& fault,
   }
 }
 
-Word ScanBatchSim::run_faulty(std::span<const ScanPattern> batch,
-                              const GoodTrace& good, const FaultSpec& fault,
-                              const std::vector<int>* cone) {
-  FaultJob job{&fault, cone};
-  run_faulty(batch, good, std::span<FaultJob>(&job, 1));
-  return job.detected;
-}
-
 void ScanBatchSim::run_faulty(std::span<const ScanPattern> batch,
                               const GoodTrace& good, std::span<FaultJob> jobs,
                               robust::RunGuard* guard) {
@@ -430,12 +422,11 @@ void ScanBatchSim::run_faulty(std::span<const ScanPattern> batch,
 void ScanBatchSim::start(Cursor& k, FaultJob& job, const GoodTrace& good) {
   k.job = &job;
   const FaultSpec& fault = *job.fault;
-  const std::vector<int>* cone = job.cone;
+  const std::vector<int>& cone = *job.cone;
   // Candidate-cycle jumping (build_excitation_index): while no lane has
   // diverged, cycles outside the fault's candidate bitset are provably
   // unexcited and are skipped in blocks.
-  k.cand.clear();
-  if (cone != nullptr) candidate_bits(good, fault, k.cand);
+  candidate_bits(good, fault, k.cand);
 
   // Only outputs inside the fault's cone — or that are fault sites
   // themselves (compute_fault_cones removes a bridge's two lines from its
@@ -443,22 +434,20 @@ void ScanBatchSim::start(Cursor& k, FaultJob& job, const GoodTrace& good) {
   // per-cycle PO/next-state scans probe just those.
   k.po_cone.clear();
   k.sv_cone.clear();
-  if (cone != nullptr) {
-    const int num_po = circuit_->num_po;
-    const std::vector<int>& outs = circuit_->comb.outputs();
-    const int site = fault.gate;
-    const int site2 =
-        fault.kind == FaultSpec::Kind::kBridge ? fault.gate2_or_pin : -1;
-    for (int o = 0; o < num_po + circuit_->num_sv; ++o) {
-      const int out = outs[static_cast<std::size_t>(o)];
-      if (out != site && out != site2 &&
-          !std::binary_search(cone->begin(), cone->end(), out))
-        continue;
-      if (o < num_po)
-        k.po_cone.push_back(o);
-      else
-        k.sv_cone.push_back(o - num_po);
-    }
+  const int num_po = circuit_->num_po;
+  const std::vector<int>& outs = circuit_->comb.outputs();
+  const int site = fault.gate;
+  const int site2 =
+      fault.kind == FaultSpec::Kind::kBridge ? fault.gate2_or_pin : -1;
+  for (int o = 0; o < num_po + circuit_->num_sv; ++o) {
+    const int out = outs[static_cast<std::size_t>(o)];
+    if (out != site && out != site2 &&
+        !std::binary_search(cone.begin(), cone.end(), out))
+      continue;
+    if (o < num_po)
+      k.po_cone.push_back(o);
+    else
+      k.sv_cone.push_back(o - num_po);
   }
   k.stage = good.sliced ? Cursor::Stage::kFirstPass : Cursor::Stage::kBatch;
   begin_pass(k, low_mask(good.num_lanes), -1, 0);
@@ -585,7 +574,6 @@ Word ScanBatchSim::take_overlay(Cursor& k, const Word* base,
 
 bool ScanBatchSim::evaluate(Cursor& k, const GoodTrace& good) {
   const FaultSpec& fault = *k.job->fault;
-  const bool has_cone = k.job->cone != nullptr;
   const std::size_t rows = good.active.size();
   for (std::size_t c = k.cycle; c < rows; ++c) {
     if (!k.cand.empty() && k.dirty == 0) {
@@ -608,8 +596,8 @@ bool ScanBatchSim::evaluate(Cursor& k, const GoodTrace& good) {
     // cycles even in an X-bearing batch).
     const Word* base = good.gate_values[c].data();
     const Word* base_x = good.gate_x_of(c);
-    // The diverged lanes (every tracked lane without a cone) go to a pack.
-    const Word queued = has_cone ? k.dirty & active : active;
+    // The diverged lanes go to a pack.
+    const Word queued = k.dirty & active;
 
     if (queued == 0) {
       // Every tracked lane is in the fault-free state: evaluate against the
@@ -677,25 +665,10 @@ void ScanBatchSim::queue(std::uint32_t id, const GoodTrace& good) {
   Cursor& k = cursors_[id];
   const Word* row = good.gate_values[k.cycle].data();
   const Word* row_x = good.gate_x_of(k.cycle);
-  const int num_pi = circuit_->num_pi;
-  const std::vector<int>& ins = circuit_->comb.inputs();
   for (Word q = k.queued; q != 0; q &= q - 1) {
     const int lane = std::countr_zero(q);
-    PackedEntry e{*k.job->fault, row, row_x, lane};
-    if ((k.dirty >> lane) & 1u) {
-      e.state = lane_bits(k.fstate, lane);
-      e.state_x = lane_bits(k.fstate_x, lane);
-    } else {
-      // A clean lane of a cone-less run: its state is the good row's.
-      for (std::size_t v = 0; v < k.fstate.size(); ++v) {
-        const int g = ins[static_cast<std::size_t>(num_pi) + v];
-        e.state |= static_cast<std::uint32_t>((row[g] >> lane) & 1u) << v;
-        if (row_x != nullptr)
-          e.state_x |= static_cast<std::uint32_t>((row_x[g] >> lane) & 1u)
-                       << v;
-      }
-    }
-    pack_.push_back(e);
+    pack_.push_back({*k.job->fault, row, row_x, lane,
+                     lane_bits(k.fstate, lane), lane_bits(k.fstate_x, lane)});
     pack_cursor_.push_back(id);
   }
   parked_.push_back(id);

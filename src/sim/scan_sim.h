@@ -59,8 +59,8 @@ struct ScanSimStats {
 };
 
 /// One fault of a run_faulty chunk: the fault, its output cone (sorted gate
-/// ids; nullptr evaluates every tracked lane in full every cycle) and, on
-/// return, its detection word.
+/// ids from compute_fault_cones; never null) and, on return, its detection
+/// word.
 struct FaultJob {
   const FaultSpec* fault = nullptr;
   const std::vector<int>* cone = nullptr;
@@ -168,8 +168,9 @@ struct GoodTrace {
 };
 
 /// Applies batches of scan patterns to a full-scan circuit, fault-free or
-/// with one injected fault. Each lane tracks its own (possibly faulty)
-/// state feedback, exactly as the physical scan test would.
+/// with one injected fault per run_faulty job. Each lane tracks its own
+/// (possibly faulty) state feedback, exactly as the physical scan test
+/// would.
 ///
 /// Detection is three-valued exact: a lane detects only where the faulty
 /// and fault-free responses are *both defined* and differ (an X on either
@@ -190,21 +191,29 @@ class ScanBatchSim {
   /// the call (a window over the full pattern list is fine — no copy).
   GoodTrace run_good(std::span<const ScanPattern> batch);
 
-  /// Simulate the batch with `fault` injected; lane l of the result is set
-  /// iff lane l's pattern detects the fault (PO mismatch at any active
-  /// cycle, or scanned-out state mismatch). Attribution-exact early exits:
-  /// once a lane detects, only lower lanes (earlier tests) are tracked.
-  /// If `cone` is given (the fault site's transitive fanout, ascending),
-  /// cycles where the faulty state still matches the fault-free state are
-  /// evaluated event-driven against the good trace: no copying of good
-  /// values, only gates whose fanins changed are re-evaluated, and
-  /// unexcited cycles are skipped whole. A cycle in which some tracked lane
-  /// has diverged takes its clean lanes through the same overlay and its
-  /// diverged lanes through a packed sweep. Without a cone every tracked
-  /// lane goes through the packed sweep every cycle.
+  /// Simulate the batch with each fault of `jobs` injected, setting the
+  /// job's `detected`: lane l is set iff lane l's pattern detects the fault
+  /// (PO mismatch at any active cycle, or scanned-out state mismatch).
+  /// Attribution-exact early exits: once a lane detects, only lower lanes
+  /// (earlier tests) are tracked.
+  ///
+  /// Cycles in which a fault's tracked lanes are all in the fault-free
+  /// state are evaluated event-driven against the good trace through the
+  /// fault's cone: no copying of good values, only gates whose fanins
+  /// changed are re-evaluated, and unexcited cycles are skipped whole (in
+  /// blocks, where the trace carries an excitation index). A cycle in
+  /// which some tracked lane has diverged takes its clean lanes through the
+  /// same overlay and queues its diverged lanes as pack entries (fault,
+  /// lane, cycle, faulty state). Each fault is a cursor over its evaluation
+  /// passes that parks at every diverged cycle; parked cursors' entries
+  /// fill a pack of up to 64 from any faults, and once it is full or no
+  /// cursor can run on, the pack takes one LogicSim::run_packed sweep and
+  /// its cursors resume, before new faults start. Packing changes no
+  /// fault's result or dirty-set evolution, only how many sweeps they
+  /// share.
   ///
   /// On a sliced trace (`good.sliced`) the lanes are segments of one test,
-  /// and lane 0 of the result is set iff that whole test detects the
+  /// and lane 0 of a job's result is set iff that whole test detects the
   /// fault. A first pass runs every segment from its fault-free start;
   /// segment 0 is exact, and segment k+1 is exact iff segment k is exact
   /// and ends in the fault-free state. A PO mismatch in an exact segment
@@ -215,23 +224,10 @@ class ScanBatchSim {
   /// pass, until it detects, reaches the scan-out, or ends a segment in
   /// the fault-free state where the first pass is exact again.
   ///
-  /// This is a chunk of one; see the chunk overload.
-  Word run_faulty(std::span<const ScanPattern> batch, const GoodTrace& good,
-                  const FaultSpec& fault,
-                  const std::vector<int>* cone = nullptr);
-
-  /// run_faulty for every fault of `jobs` together, setting each job's
-  /// `detected` to what the single-fault run_faulty returns. Each fault is
-  /// a cursor over its evaluation passes that parks at every diverged
-  /// cycle with its diverged lanes queued as pack entries (fault, lane,
-  /// cycle, faulty state). Parked cursors' entries fill a pack of up to 64
-  /// from any faults; once it is full or no cursor can run on, the pack
-  /// takes one LogicSim::run_packed sweep and its cursors resume, before
-  /// new faults start. Packing changes no fault's result or dirty-set
-  /// evolution, only how many sweeps they share. `guard`, if given, is
-  /// ticked once per job as it starts (weighted by the batch width) and
-  /// once per continuation pass of a sliced trace; a trip leaves the jobs
-  /// not yet started, and a fault whose continuation it stops, undetected.
+  /// `guard`, if given, is ticked once per job as it starts (weighted by
+  /// the batch width) and once per continuation pass of a sliced trace; a
+  /// trip leaves the jobs not yet started, and a fault whose continuation
+  /// it stops, undetected.
   void run_faulty(std::span<const ScanPattern> batch, const GoodTrace& good,
                   std::span<FaultJob> jobs, robust::RunGuard* guard = nullptr);
 

@@ -2,35 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "difftest/reference_sim.h"
 #include "fault/bridging.h"
 #include "fault/fault.h"
 #include "harness/experiment.h"
 
 namespace fstg {
 namespace {
-
-/// Naive reference: simulate each test one at a time, scalar, no dropping,
-/// no batching, no cone fast path. Returns the first detecting test index
-/// per fault.
-std::vector<int> reference_detected_by(const ScanCircuit& circuit,
-                                       const TestSet& tests,
-                                       const std::vector<FaultSpec>& faults) {
-  std::vector<int> result(faults.size(), -1);
-  ScanBatchSim sim(circuit);
-  for (std::size_t f = 0; f < faults.size(); ++f) {
-    for (std::size_t i = 0; i < tests.tests.size(); ++i) {
-      const std::vector<ScanPattern> one = {
-          {static_cast<std::uint32_t>(tests.tests[i].init_state),
-           tests.tests[i].inputs, {}}};
-      const GoodTrace good = sim.run_good(one);
-      if (sim.run_faulty(one, good, faults[f]) != 0) {
-        result[f] = static_cast<int>(i);
-        break;
-      }
-    }
-  }
-  return result;
-}
 
 TEST(FaultSim, MatchesNaiveReferenceOnLion) {
   CircuitExperiment exp = run_circuit("lion");
@@ -40,9 +18,9 @@ TEST(FaultSim, MatchesNaiveReferenceOnLion) {
   faults.insert(faults.end(), bridges.begin(), bridges.end());
 
   FaultSimResult fast = simulate_faults(circuit, exp.gen.tests, faults);
-  std::vector<int> slow =
-      reference_detected_by(circuit, exp.gen.tests, faults);
-  EXPECT_EQ(fast.detected_by, slow);
+  EXPECT_EQ(fast.detected_by,
+            difftest::reference_simulate(circuit, exp.gen.tests, faults)
+                .detected_by);
 }
 
 TEST(FaultSim, MatchesNaiveReferenceOnDk17) {
@@ -50,9 +28,9 @@ TEST(FaultSim, MatchesNaiveReferenceOnDk17) {
   const ScanCircuit& circuit = exp.synth.circuit;
   const std::vector<FaultSpec> faults = enumerate_stuck_at(circuit.comb);
   FaultSimResult fast = simulate_faults(circuit, exp.gen.tests, faults);
-  std::vector<int> slow =
-      reference_detected_by(circuit, exp.gen.tests, faults);
-  EXPECT_EQ(fast.detected_by, slow);
+  EXPECT_EQ(fast.detected_by,
+            difftest::reference_simulate(circuit, exp.gen.tests, faults)
+                .detected_by);
 }
 
 TEST(FaultSim, EffectivenessMarksMatchFirstDetections) {

@@ -59,53 +59,9 @@ TEST_F(ScanSimLion, GoodTraceMatchesStateTable) {
 }
 
 TEST_F(ScanSimLion, FaultFreeRunDetectsNothing) {
-  ScanBatchSim sim(exp_->synth.circuit);
-  const std::vector<ScanPattern> batch = to_scan_patterns(exp_->gen.tests);
-  const GoodTrace good = sim.run_good(batch);
-  EXPECT_EQ(sim.run_faulty(batch, good, FaultSpec::none()), Word{0});
-}
-
-/// Runs every stuck-at and bridging fault of `exp`'s circuit over its
-/// generated tests as one batch, through the event-driven path (with the
-/// fault's cone) and the full path (every tracked lane a packed-sweep entry
-/// every cycle); both must name the same first detecting lane. Returns the
-/// event-driven path's diverged cycles.
-std::uint64_t expect_cone_and_full_paths_agree(const CircuitExperiment& exp) {
-  const ScanCircuit& circuit = exp.synth.circuit;
-  ScanBatchSim sim(circuit);
-  const std::vector<ScanPattern> batch = to_scan_patterns(exp.gen.tests);
-  const GoodTrace good = sim.run_good(batch);
-
-  std::vector<FaultSpec> faults = enumerate_stuck_at(circuit.comb);
-  const std::vector<FaultSpec> bridges = enumerate_bridging(circuit.comb);
-  faults.insert(faults.end(), bridges.begin(), bridges.end());
-  const std::vector<std::vector<int>> cones =
-      compute_fault_cones(circuit.comb, faults);
-
-  std::uint64_t diverged = 0;
-  for (std::size_t f = 0; f < faults.size(); ++f) {
-    const std::uint64_t full_before = sim.stats().cycles_full;
-    const Word with_cone = sim.run_faulty(batch, good, faults[f], &cones[f]);
-    diverged += sim.stats().cycles_full - full_before;
-    const Word without = sim.run_faulty(batch, good, faults[f]);
-    // Early exits make higher lanes unreliable; the *lowest* detecting
-    // lane (which is what simulate_faults consumes) must agree.
-    const Word lowest_cone = with_cone & (~with_cone + 1);
-    const Word lowest_full = without & (~without + 1);
-    EXPECT_EQ(lowest_cone, lowest_full) << "fault " << f;
-    if (lowest_cone != lowest_full) break;
-  }
-  return diverged;
-}
-
-TEST_F(ScanSimLion, ConeAndFullPathsAgreeOnEveryFault) {
-  expect_cone_and_full_paths_agree(*exp_);
-  // dk16's 42 generated tests make one batch whose long chained test
-  // diverges under many faults, so the event-driven path runs diverged
-  // cycles too.
-  const CircuitExperiment dk16 = run_circuit("dk16");
-  ASSERT_EQ(dk16.gen.tests.size(), 42u);
-  EXPECT_GT(expect_cone_and_full_paths_agree(dk16), 0u);
+  const FaultSimResult r = simulate_faults(
+      exp_->synth.circuit, exp_->gen.tests, {FaultSpec::none()});
+  EXPECT_EQ(r.detected_by, std::vector<int>{-1});
 }
 
 TEST(ScanSim, BatchSizeValidation) {
@@ -119,14 +75,14 @@ TEST(ScanSim, BatchSizeValidation) {
 TEST(ScanSim, SingleLaneStuckFaultDetection) {
   CircuitExperiment exp = run_circuit("lion");
   const ScanCircuit& circuit = exp.synth.circuit;
-  ScanBatchSim sim(circuit);
   // Scan test exercising a known transition; stuck-at-1 on the primary
   // output gate must be caught whenever the good output is 0.
   const int po_gate = circuit.comb.outputs()[0];
-  const std::vector<ScanPattern> batch = {{0, {0}, {}}};  // st0 --00--> out 0
-  const GoodTrace good = sim.run_good(batch);
-  EXPECT_EQ(sim.run_faulty(batch, good, FaultSpec::stuck_gate(po_gate, true)),
-            Word{1});
+  TestSet one;
+  one.tests.push_back({0, {0}, -1, {}});  // st0 --00--> out 0
+  const FaultSimResult r =
+      simulate_faults(circuit, one, {FaultSpec::stuck_gate(po_gate, true)});
+  EXPECT_EQ(r.detected_by, std::vector<int>{0});
 }
 
 }  // namespace

@@ -286,8 +286,9 @@ bool check_blif_lint_oracle(const std::string& text, std::uint64_t iter) {
   return false;
 }
 
-/// KISS2 side of the lint oracle: lint's nondeterminism rule mirrors the
-/// determinism gate every expansion/synthesis runs through.
+/// KISS2 side of the lint oracle: lint's nondeterminism rule and the
+/// determinism gate every expansion/synthesis runs through share
+/// rows_conflict, and must agree on every machine.
 bool check_kiss_lint_oracle(const std::string& text, std::uint64_t iter) {
   Kiss2Fsm fsm;
   try {
