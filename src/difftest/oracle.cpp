@@ -47,6 +47,7 @@ constexpr const char* kInvariantCounters[] = {
     "sim.overlay_calls",
     "sim.overlay_unexcited",
     "sim.overlay_gates_changed",
+    "sim.overlay_wide_incremental",
 };
 
 struct EngineRun {

@@ -12,7 +12,7 @@
 
 namespace fstg::difftest {
 
-void append_observers(ScanCircuit& circuit, Rng& rng, int count) {
+void append_observers(ScanCircuit& circuit, Rng& rng, int count, bool wide) {
   const Netlist& old = circuit.comb;
   const int n = old.num_gates();
   require(n > 0, "append_observers: empty netlist");
@@ -39,6 +39,19 @@ void append_observers(ScanCircuit& circuit, Rng& rng, int count) {
     if (arity >= 2 && rng.chance(1, 4)) fanins[1] = fanins[0];
     observers.push_back(enriched.add_gate(type, std::move(fanins)));
   }
+  // The wide observer: 9-12 fanins, a quarter of the time with a
+  // duplicated one.
+  if (wide) {
+    constexpr GateType kWideTypes[] = {GateType::kAnd, GateType::kNand,
+                                       GateType::kOr, GateType::kNor};
+    const GateType type = kWideTypes[rng.below(4)];
+    const int arity = kWideFanins + 1 + static_cast<int>(rng.below(4));
+    std::vector<int> fanins;
+    for (int p = 0; p < arity; ++p)
+      fanins.push_back(static_cast<int>(rng.below(static_cast<std::uint64_t>(n))));
+    if (rng.chance(1, 4)) fanins[1] = fanins[0];
+    observers.push_back(enriched.add_gate(type, std::move(fanins)));
+  }
 
   // Rebuild the output list as [old POs][observers][next-state] so the
   // ScanCircuit convention (outputs = [po][sv]) survives the widening.
@@ -50,7 +63,7 @@ void append_observers(ScanCircuit& circuit, Rng& rng, int count) {
         old.outputs()[static_cast<std::size_t>(circuit.num_po + k)]);
 
   circuit.comb = std::move(enriched);
-  circuit.num_po += count;
+  circuit.num_po += static_cast<int>(observers.size());
 }
 
 namespace {
@@ -183,6 +196,23 @@ Workload generate_workload(std::uint64_t seed) {
   // same reason: every other seed keeps its circuit, faults and tests.
   if (rng.chance(1, 4))
     w.tests.tests.insert(w.tests.tests.begin(), long_test(w.circuit, rng));
+
+  // Synthesis emits only ORs wider than kWideFanins, and none with a
+  // duplicated fanin, so a third of the workloads get one wide AND, NAND,
+  // OR or NOR observer too, with its stuck-at stem and pin faults (the
+  // O(1) wide-gate update counts a driver on two pins twice). Drawn after
+  // everything else: the workload keeps its faults and tests, and an
+  // observer changes no state.
+  if (rng.chance(1, 3)) {
+    append_observers(w.circuit, rng, 0, /*wide=*/true);
+    const int g = w.circuit.comb.num_gates() - 1;
+    const int pins = static_cast<int>(w.circuit.comb.gate(g).fanins.size());
+    for (const bool v : {false, true}) {
+      w.faults.push_back(FaultSpec::stuck_gate(g, v));
+      for (int p = 0; p < pins; ++p)
+        w.faults.push_back(FaultSpec::stuck_pin(g, p, v));
+    }
+  }
   return w;
 }
 

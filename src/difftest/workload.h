@@ -49,16 +49,20 @@ struct Workload {
 /// synthesis options, observer enrichment, fault mix (stuck stems, stuck
 /// pins, non-feedback bridges), and test shapes are all drawn from the
 /// seed, biased toward the shapes that have historically broken engines:
-/// n-ary XOR/XNOR observers (some with duplicated fanins), X-heavy and
-/// all-X vectors, zero-test and one-cycle tests, and a long two-valued
-/// test 0 that the engine runs time-sliced.
+/// n-ary XOR/XNOR observers (some with duplicated fanins), wide AND, NAND,
+/// OR and NOR observers, X-heavy and all-X vectors, zero-test and one-cycle
+/// tests, and a long two-valued test 0 that the engine runs time-sliced.
 Workload generate_workload(std::uint64_t seed);
 
-/// Append `count` random XOR/XNOR observer gates over existing nets as
-/// extra primary outputs (rebuilds the netlist so the output order stays
+/// Append `count` random XOR/XNOR observer gates over existing nets and,
+/// with `wide`, one AND, NAND, OR or NOR observer of 9-12 fanins (a wide
+/// gate, kWideFanins; the netlist's last gate), as extra primary outputs
+/// (rebuilds the netlist so the output order stays
 /// [primary outputs][next-state]; original gate ids are preserved).
 /// Observers deepen reconvergent fan-out and, with deliberate duplicated
-/// fanins, exercise per-pin stuck-at semantics.
-void append_observers(ScanCircuit& circuit, Rng& rng, int count);
+/// fanins, exercise per-pin stuck-at semantics and the wide gates' O(1)
+/// update.
+void append_observers(ScanCircuit& circuit, Rng& rng, int count,
+                      bool wide = false);
 
 }  // namespace fstg::difftest

@@ -103,6 +103,8 @@ void flush_sim_stats(const LogicSimStats& logic, const ScanSimStats& scan) {
   static const obs::Counter c_calls = obs::counter("sim.overlay_calls");
   static const obs::Counter c_unexcited = obs::counter("sim.overlay_unexcited");
   static const obs::Counter c_changed = obs::counter("sim.overlay_gates_changed");
+  static const obs::Counter c_wide =
+      obs::counter("sim.overlay_wide_incremental");
   static const obs::Counter c_skipped = obs::counter("scan.cycles_skipped");
   static const obs::Counter c_overlay = obs::counter("scan.cycles_overlay");
   static const obs::Counter c_full = obs::counter("scan.cycles_full");
@@ -117,6 +119,7 @@ void flush_sim_stats(const LogicSimStats& logic, const ScanSimStats& scan) {
   c_calls.add(logic.overlay_calls);
   c_unexcited.add(logic.overlay_unexcited);
   c_changed.add(logic.gates_changed);
+  c_wide.add(logic.wide_incremental);
   c_skipped.add(scan.cycles_skipped);
   c_overlay.add(scan.cycles_overlay);
   c_full.add(scan.cycles_full);

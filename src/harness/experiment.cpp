@@ -149,6 +149,28 @@ CircuitExperiment run_circuit_staged(const std::string& name,
   return exp;
 }
 
+/// Statuses [begin, end) of `all` as one list's result.
+RedundancyResult redundancy_slice(const RedundancyResult& all,
+                                  std::size_t begin, std::size_t end) {
+  RedundancyResult r;
+  r.status.assign(all.status.begin() + static_cast<std::ptrdiff_t>(begin),
+                  all.status.begin() + static_cast<std::ptrdiff_t>(end));
+  for (const FaultStatus s : r.status) {
+    switch (s) {
+      case FaultStatus::kDetected:
+        ++r.detected;
+        break;
+      case FaultStatus::kMissedDetectable:
+        ++r.missed_detectable;
+        break;
+      case FaultStatus::kUndetectable:
+        ++r.undetectable;
+        break;
+    }
+  }
+  return r;
+}
+
 /// run_gate_level over `tests` in place of the generated ones.
 GateLevelResult gate_level(const CircuitExperiment& exp, const TestSet& tests,
                            const GateLevelOptions& options) {
@@ -257,12 +279,17 @@ GateLevelResult gate_level(const CircuitExperiment& exp, const TestSet& tests,
 
   if (options.classify_redundancy) {
     // Reuse the compaction pass's simulation: only the misses (pruned
-    // faults included) get the exhaustive re-check.
+    // faults included) get the exhaustive re-check, both lists' in one
+    // engine run, split back like the test-set pass.
     obs::StageScope scope("redundancy.classify", exp.fsm.name);
-    result.sa_redundancy = classify_faults_from(
-        circuit, result.sa_faults, result.sa.sim.detected_by, sim_options);
-    result.br_redundancy = classify_faults_from(
-        circuit, result.br_faults, result.br.sim.detected_by, sim_options);
+    std::vector<FaultSpec> both = result.sa_faults;
+    both.insert(both.end(), result.br_faults.begin(), result.br_faults.end());
+    const RedundancyResult classified =
+        classify_faults_from(circuit, both, detected_by, sim_options);
+    result.sa_redundancy =
+        redundancy_slice(classified, 0, result.sa_faults.size());
+    result.br_redundancy =
+        redundancy_slice(classified, result.sa_faults.size(), total);
     result.redundancy_classified = true;
   }
   return result;

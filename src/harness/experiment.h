@@ -98,8 +98,9 @@ struct GateLevelOptions {
   /// Bounds the one simulation of the stuck-at list followed by the
   /// bridging list: one RunGuard at site `fault_sim.batch`, and BudgetError
   /// is thrown if it stops early (partial coverage would under-report).
-  /// Fault enumeration, static pruning and redundancy classification (its
-  /// own engine run, at site `redundancy.classify`) are not budgeted.
+  /// Fault enumeration, static pruning and redundancy classification (one
+  /// more engine run over both lists' misses, at site
+  /// `redundancy.classify`) are not budgeted.
   robust::Budget budget;
 };
 

@@ -28,12 +28,17 @@ std::pair<Word, Word> wired3(bool or_type, Word v1, Word x1, Word v2,
   return {v, ~(v | def0_1 | def0_2)};
 }
 
+/// XOR mask between the lanes where some fanin controls and the output of
+/// a wide gate of type `t`: OR and NAND are 1 there, AND and NOR 0.
+inline Word output_flip(GateType t) {
+  return t == GateType::kOr || t == GateType::kNand ? 0 : kOnes;
+}
+
 }  // namespace
 
 LogicSim::LogicSim(const Netlist& nl) : nl_(&nl) {
   input_words_.assign(static_cast<std::size_t>(nl.num_inputs()), 0);
   input_x_.assign(static_cast<std::size_t>(nl.num_inputs()), 0);
-  values_.assign(static_cast<std::size_t>(nl.num_gates()), 0);
   xvals_.assign(static_cast<std::size_t>(nl.num_gates()), 0);
 
   // Flatten the netlist into CSR form for the hot evaluation loop.
@@ -41,7 +46,9 @@ LogicSim::LogicSim(const Netlist& nl) : nl_(&nl) {
   type_.resize(static_cast<std::size_t>(n));
   fanin_begin_.resize(static_cast<std::size_t>(n) + 1);
   input_index_.assign(static_cast<std::size_t>(n), -1);
+  wide_word_.assign(static_cast<std::size_t>(n), -1);
   int inputs_seen = 0;
+  int row = n;  // the wide gates' words follow the gate words
   std::size_t total_fanins = 0;
   for (int id = 0; id < n; ++id) total_fanins += nl.gate(id).fanins.size();
   fanins_.reserve(total_fanins);
@@ -53,8 +60,13 @@ LogicSim::LogicSim(const Netlist& nl) : nl_(&nl) {
     for (int f : g.fanins) fanins_.push_back(f);
     if (g.type == GateType::kInput)
       input_index_[static_cast<std::size_t>(id)] = inputs_seen++;
+    const bool and_or = g.type == GateType::kAnd || g.type == GateType::kNand ||
+                        g.type == GateType::kOr || g.type == GateType::kNor;
+    if (and_or && g.fanins.size() > static_cast<std::size_t>(kWideFanins))
+      wide_word_[static_cast<std::size_t>(id)] = row++;
   }
   fanin_begin_[static_cast<std::size_t>(n)] = static_cast<int>(fanins_.size());
+  values_.assign(static_cast<std::size_t>(row), 0);
 }
 
 template <typename ValueOf>
@@ -191,6 +203,55 @@ inline std::pair<Word, Word> LogicSim::eval_gate_x(int id) const {
   });
 }
 
+inline Word LogicSim::eval_wide(int id, int at) {
+  const GateType type = type_[static_cast<std::size_t>(id)];
+  const Word flip = controlling_flip(type);
+  const int begin = fanin_begin_[static_cast<std::size_t>(id)];
+  const int end = fanin_begin_[static_cast<std::size_t>(id) + 1];
+  // Count the controlling fanin entries to two: the lanes where at least
+  // one, and at least two, hold the controlling value.
+  Word one = 0;
+  Word two = 0;
+  for (int p = begin; p < end; ++p) {
+    const Word c =
+        values_[static_cast<std::size_t>(fanins_[static_cast<std::size_t>(p)])] ^
+        flip;
+    two |= one & c;
+    one |= c;
+  }
+  values_[static_cast<std::size_t>(at)] = two;
+  return one ^ output_flip(type);
+}
+
+inline Word LogicSim::wide_update(int id, const Word* base, Word from,
+                                  Word to) const {
+  const GateType type = type_[static_cast<std::size_t>(id)];
+  const Word flip = controlling_flip(type);
+  const Word out_flip = output_flip(type);
+  // In controlling terms: a lane where the entry stops controlling keeps
+  // some controlling fanin iff another entry controls too, that is iff the
+  // base counted two there.
+  const Word any = base[id] ^ out_flip;
+  const Word was = from ^ flip;
+  const Word is = to ^ flip;
+  const Word loss = was & ~is;
+  const Word gain = is & ~was;
+  const Word two = base[wide_word_[static_cast<std::size_t>(id)]];
+  return ((any & ~loss) | gain | (loss & two)) ^ out_flip;
+}
+
+Word LogicSim::eval_pin_forced(int gate, int pin, Word forced,
+                               const Word* base) const {
+  if (wide_word_[static_cast<std::size_t>(gate)] >= 0) {
+    const int driver = fanins_[static_cast<std::size_t>(
+        fanin_begin_[static_cast<std::size_t>(gate)] + pin)];
+    return wide_update(gate, base, base[driver], forced);
+  }
+  return eval_gate_with(gate, [&](int p, int g) {
+    return p == pin ? forced : base[g];
+  });
+}
+
 inline void LogicSim::overlay_stamp(int gate, Word value, Word xmask) {
   overlay_[static_cast<std::size_t>(gate)] = value;
   overlay_x_[static_cast<std::size_t>(gate)] = xmask;
@@ -251,14 +312,19 @@ int LogicSim::run_cone_overlay(const FaultSpec& fault, const Word* base,
 
   ++stats_.overlay_calls;
   heap_.clear();
+  // One call per changed gate, one iteration per fanout entry: a gate
+  // queued a second time in the epoch has several changed fanin entries.
   const auto push_fanouts = [this](int g) {
     const int begin = fanout_begin_[static_cast<std::size_t>(g)];
     const int end = fanout_begin_[static_cast<std::size_t>(g) + 1];
     for (int p = begin; p < end; ++p) {
       const int out = fanouts_[static_cast<std::size_t>(p)];
-      std::uint32_t& stamp = queue_stamp_[static_cast<std::size_t>(out)];
-      if (stamp == overlay_epoch_) continue;
-      stamp = overlay_epoch_;
+      QueueMark& mark = queue_[static_cast<std::size_t>(out)];
+      if (mark.epoch == overlay_epoch_) {
+        mark.driver = -1;
+        continue;
+      }
+      mark = {overlay_epoch_, g};
       ++stats_.event_pushes;
       heap_push(out);
     }
@@ -296,6 +362,13 @@ int LogicSim::run_cone_overlay(const FaultSpec& fault, const Word* base,
       const Word pin_v = fault.value ? kOnes : 0;
       // Force exactly the faulted pin position: a branch fault must not
       // force sibling pins fed by the same driver.
+      if (base_x == nullptr) {
+        if (wide_word_[static_cast<std::size_t>(site)] >= 0)
+          ++stats_.wide_incremental;
+        changed += stamp_if_changed(
+            site, eval_pin_forced(site, fault.gate2_or_pin, pin_v, base), 0);
+        break;
+      }
       const auto [v, x] = eval_gate_x_with(site, [&](int p, int g) {
         return p == fault.gate2_or_pin ? std::pair<Word, Word>{pin_v, 0}
                                        : vx_overlaid(p, g);
@@ -338,7 +411,15 @@ int LogicSim::run_cone_overlay(const FaultSpec& fault, const Word* base,
       const int id = heap_pop();
       ++stats_.event_pops;
       if (id == site || id == site2) continue;
-      const Word v = eval_gate_with(id, overlaid);
+      const int driver = queue_[static_cast<std::size_t>(id)].driver;
+      Word v;
+      if (driver >= 0 && wide_word_[static_cast<std::size_t>(id)] >= 0) {
+        v = wide_update(id, base, base[driver],
+                        overlay_[static_cast<std::size_t>(driver)]);
+        ++stats_.wide_incremental;
+      } else {
+        v = eval_gate_with(id, overlaid);
+      }
       if (v != base[id]) {
         overlay_stamp(id, v, 0);
         ++changed;
@@ -378,12 +459,9 @@ bool LogicSim::fault_excited(const FaultSpec& fault, const Word* base,
     case FaultSpec::Kind::kStuckPin: {
       const int site = fault.gate;
       const Word pin_v = fault.value ? kOnes : 0;
-      if (base_x == nullptr) {
-        const Word v = eval_gate_with(site, [&](int p, int g) {
-          return p == fault.gate2_or_pin ? pin_v : base[g];
-        });
-        return v != base[site];
-      }
+      if (base_x == nullptr)
+        return eval_pin_forced(site, fault.gate2_or_pin, pin_v, base) !=
+               base[site];
       const auto [v, x] = eval_gate_x_with(site, [&](int p, int g) {
         return p == fault.gate2_or_pin
                    ? std::pair<Word, Word>{pin_v, 0}
@@ -413,7 +491,7 @@ void LogicSim::overlay_prepare() {
     overlay_.assign(n, 0);
     overlay_x_.assign(n, 0);
     overlay_stamp_.assign(n, 0);
-    queue_stamp_.assign(n, 0);
+    queue_.assign(n, QueueMark{});
     overlay_epoch_ = 0;
     // Fanout CSR = transpose of the fanin CSR (counting sort by target).
     fanout_begin_.assign(n + 1, 0);
@@ -434,7 +512,7 @@ void LogicSim::overlay_prepare() {
   }
   if (++overlay_epoch_ == 0) {  // epoch wrapped: stale stamps could collide
     std::fill(overlay_stamp_.begin(), overlay_stamp_.end(), 0u);
-    std::fill(queue_stamp_.begin(), queue_stamp_.end(), 0u);
+    std::fill(queue_.begin(), queue_.end(), QueueMark{});
     overlay_epoch_ = 1;
   }
 }
@@ -447,7 +525,9 @@ void LogicSim::eval_range(int first, int last) {
       values_[static_cast<std::size_t>(id)] = v;
       xvals_[static_cast<std::size_t>(id)] = x;
     } else {
-      values_[static_cast<std::size_t>(id)] = eval_gate(id);
+      const int at = wide_word_[static_cast<std::size_t>(id)];
+      values_[static_cast<std::size_t>(id)] =
+          at >= 0 ? eval_wide(id, at) : eval_gate(id);
     }
   }
 }

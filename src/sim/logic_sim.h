@@ -55,18 +55,37 @@ struct PackedEntry {
   std::uint32_t state_x = 0;
 };
 
+/// An AND, NAND, OR or NOR gate with more than this many fanins is *wide*:
+/// a two-valued evaluation also writes, after the gate words of the row,
+/// the lanes where at least two of its fanin entries hold the controlling
+/// value, so the overlay re-evaluates it in O(1) when one fanin entry
+/// changes (LogicSim::values). The paper's two-level circuits make every
+/// output one wide OR of shared product terms (rie's ORs have 36-67
+/// fanins), which take 98.6% of rie's overlay fanin reads; gates of at most
+/// 8 fanins take 1.4% of rie's and 2.1% of nucpwr's, while a word for each
+/// of them would nearly double every row.
+inline constexpr int kWideFanins = 8;
+
+/// XOR mask that turns a fanin word of an AND, NAND, OR or NOR gate of type
+/// `t` into the lanes where it holds the controlling value (0 for AND/NAND,
+/// 1 for OR/NOR).
+inline Word controlling_flip(GateType t) {
+  return t == GateType::kAnd || t == GateType::kNand ? ~Word{0} : 0;
+}
+
 /// Tallies of the event-driven overlay path, accumulated with plain
 /// increments (a simulator instance is thread-confined, so no atomics in
 /// the hot loop); the fault-simulation engine flushes them into the obs
 /// metrics registry once per run (counters sim.event_pushes /
 /// sim.event_pops / sim.overlay_calls / sim.overlay_unexcited /
-/// sim.overlay_gates_changed).
+/// sim.overlay_gates_changed / sim.overlay_wide_incremental).
 struct LogicSimStats {
   std::uint64_t overlay_calls = 0;      ///< run_cone_overlay invocations
   std::uint64_t overlay_unexcited = 0;  ///< calls that returned 0
   std::uint64_t event_pushes = 0;       ///< event-queue insertions
   std::uint64_t event_pops = 0;         ///< event-queue removals
   std::uint64_t gates_changed = 0;      ///< overlay stamps (value != base)
+  std::uint64_t wide_incremental = 0;   ///< wide gates evaluated in O(1)
 
   LogicSimStats& operator+=(const LogicSimStats& o) {
     overlay_calls += o.overlay_calls;
@@ -74,6 +93,7 @@ struct LogicSimStats {
     event_pushes += o.event_pushes;
     event_pops += o.event_pops;
     gates_changed += o.gates_changed;
+    wide_incremental += o.wide_incremental;
     return *this;
   }
 };
@@ -143,7 +163,19 @@ class LogicSim {
   Word output_x(int output_index) const {
     return xval(nl_->outputs()[static_cast<std::size_t>(output_index)]);
   }
+  /// The row of the last evaluation: every gate's word, followed by one
+  /// word per wide gate (kWideFanins; its position is wide_word(gate)): the
+  /// lanes where at least two of the gate's fanin entries hold the
+  /// controlling value (0 for AND/NAND, 1 for OR/NOR), a driver on two pins
+  /// counting twice. Only a two-valued evaluation writes that tail; a
+  /// three-valued row's tail is stale, which is harmless because the
+  /// overlay evaluates every gate in full against a row with an X plane.
   const std::vector<Word>& values() const { return values_; }
+  /// Position of wide gate `gate`'s two-controlling word in a row of
+  /// values(), or -1 for any other gate.
+  int wide_word(int gate) const {
+    return wide_word_[static_cast<std::size_t>(gate)];
+  }
   /// The netlist in the CSR form the evaluation loop reads: gate g's type
   /// is gate_types()[g] and its fanins are
   /// fanins()[fanin_begin()[g] .. fanin_begin()[g + 1]).
@@ -183,6 +215,17 @@ class LogicSim {
   /// differs from the base — comparing only the value plane would silently
   /// drop defined->X transitions (difftest corpus case xprop_xor_overlay).
   ///
+  /// `base` is a whole row of values(), its wide-gate tail included. The
+  /// event queue counts the changed fanin entries of each queued gate (a
+  /// driver on two pins counts twice). On a two-valued row a wide gate
+  /// with exactly one changed entry, and the site of a stuck-at pin fault
+  /// on a wide gate, take the O(1) update in controlling terms,
+  /// any' = (any & ~loss) | gain | (loss & two): `any` is the base's lanes
+  /// with some controlling fanin, `loss` / `gain` the lanes where the entry
+  /// stops / starts controlling, and `two` the row's two-controlling word.
+  /// Several changed entries, X rows and narrow gates evaluate every fanin
+  /// (counter sim.overlay_wide_incremental counts the O(1) evaluations).
+  ///
   /// Returns the number of gates whose (value, xmask) differs from the
   /// base (0 = the fault is not excited this cycle — the whole cycle can be
   /// skipped: every output and the next state equal the fault-free
@@ -195,7 +238,9 @@ class LogicSim {
   /// epoch/heap setup. ~97% of (fault, cycle) pairs are unexcited, and for
   /// stuck-at-gate faults — the bulk of every fault list — the answer is one
   /// load and one compare, so the scan simulator asks this first and enters
-  /// the overlay machinery only for cycles that can actually propagate.
+  /// the overlay machinery only for cycles that can actually propagate. A
+  /// stuck-at pin fault on a wide gate takes the overlay's O(1) update on a
+  /// two-valued row, so `base` must be a whole row, as for the overlay.
   bool fault_excited(const FaultSpec& fault, const Word* base,
                      const Word* base_x) const;
 
@@ -265,6 +310,15 @@ class LogicSim {
   std::pair<Word, Word> eval_gate_x_with(int id, VxOf&& vx_of) const;
   Word eval_gate(int id) const;
   std::pair<Word, Word> eval_gate_x(int id) const;
+  /// Two-valued evaluation of wide gate `id` from values_, writing its
+  /// two-controlling word to values_[at].
+  Word eval_wide(int id, int at);
+  /// Two-valued value of wide gate `id` against the row `base` when exactly
+  /// one of its fanin entries reads `to` instead of its base value `from`.
+  Word wide_update(int id, const Word* base, Word from, Word to) const;
+  /// Two-valued value of gate `gate` against the row `base` with its fanin
+  /// position `pin` forced to `forced` (a stuck-at pin fault's site).
+  Word eval_pin_forced(int gate, int pin, Word forced, const Word* base) const;
   /// Evaluate gates [first, last) from their fanins (kX: three-valued,
   /// maintaining xvals_).
   template <bool kX>
@@ -323,6 +377,8 @@ class LogicSim {
   std::vector<int> fanin_begin_;
   std::vector<int> fanins_;
   std::vector<int> input_index_;
+  /// Per gate: the row position of its two-controlling word, -1 unless wide.
+  std::vector<int> wide_word_;
   // Sweep scratch: injections sorted by gate, and the pending bridges.
   std::vector<Injection> injections_;
   std::vector<BridgeInjection> bridges_;
@@ -331,14 +387,20 @@ class LogicSim {
   // whose value changed, so a dying fault effect costs nothing downstream.
   std::vector<int> fanout_begin_;
   std::vector<int> fanouts_;
-  // Event-driven overlay scratch (O(1) reset via epoch bump). queue_stamp_
-  // dedups event-queue pushes within one epoch; heap_ is a min-heap on gate
-  // id, so gates pop in topological order and one evaluation per touched
-  // gate is exact.
+  // Event-driven overlay scratch (O(1) reset via epoch bump). queue_ dedups
+  // event-queue pushes within one epoch and counts each queued gate's
+  // changed fanin entries to two; heap_ is a min-heap on gate id, so gates
+  // pop in topological order and one evaluation per touched gate is exact.
+  struct QueueMark {
+    std::uint32_t epoch = 0;
+    /// The driver of the one changed fanin entry, or -1 once a second
+    /// entry (of any driver, the same one on another pin included) changed.
+    int driver = -1;
+  };
   std::vector<Word> overlay_;
   std::vector<Word> overlay_x_;
   std::vector<std::uint32_t> overlay_stamp_;
-  std::vector<std::uint32_t> queue_stamp_;
+  std::vector<QueueMark> queue_;
   std::vector<int> heap_;
   std::uint32_t overlay_epoch_ = 0;
   LogicSimStats stats_;

@@ -158,9 +158,6 @@ void ScanBatchSim::prepare_index_scratch() {
   // pins of the same fanout is a head too and the single-path sensitivity
   // composition below never applies to it.
   std::vector<int> fanout_entries(n, 0);
-  int max_fanins = 0;
-  for (std::size_t g = 0; g < n; ++g)
-    max_fanins = std::max(max_fanins, fanin_begin[g + 1] - fanin_begin[g]);
   for (int f : fanins) ++fanout_entries[static_cast<std::size_t>(f)];
   idx_head_.assign(n, 0);
   for (std::size_t g = 0; g < n; ++g)
@@ -168,8 +165,6 @@ void ScanBatchSim::prepare_index_scratch() {
   for (int out : circuit_->comb.outputs())
     idx_head_[static_cast<std::size_t>(out)] = 1;
   idx_sens_.assign(n, 0);
-  idx_prefix_.assign(static_cast<std::size_t>(max_fanins) + 1, 0);
-  idx_suffix_.assign(static_cast<std::size_t>(max_fanins) + 1, 0);
 }
 
 void ScanBatchSim::sweep_index_words(GoodTrace& good, std::size_t w_lo,
@@ -185,8 +180,6 @@ void ScanBatchSim::sweep_index_words(GoodTrace& good, std::size_t w_lo,
   // netlist is topological), so the descending sweep writes S[g] before g
   // is visited. Heads never read their slot.
   Word* const S = idx_sens_.data();
-  Word* const prefix = idx_prefix_.data();
-  Word* const suffix = idx_suffix_.data();
   const std::uint8_t* const is_head = idx_head_.data();
   for (std::size_t c = w_lo * 64; c < std::min(rows, w_hi * 64); ++c) {
     const std::uint64_t bit = std::uint64_t{1} << (c & 63);
@@ -243,29 +236,23 @@ void ScanBatchSim::sweep_index_words(GoodTrace& good, std::size_t w_lo,
           for (std::size_t p = 0; p < k; ++p) emit(p, Sg);
           break;
         case GateType::kAnd:
-        case GateType::kNand: {
-          // Pin p is sensitive where every *other* fanin is 1.
-          prefix[0] = Sg;
-          for (std::size_t p = 0; p < k; ++p)
-            prefix[p + 1] = prefix[p] & row[fan[p]];
-          suffix[k] = kOnes;
-          for (std::size_t p = k; p-- > 0;)
-            suffix[p] = suffix[p + 1] & row[fan[p]];
-          for (std::size_t p = 0; p < k; ++p)
-            emit(p, prefix[p] & suffix[p + 1]);
-          break;
-        }
+        case GateType::kNand:
         case GateType::kOr:
         case GateType::kNor: {
-          // Pin p is sensitive where every *other* fanin is 0.
-          prefix[0] = 0;
+          // Pin p is sensitive where every *other* fanin entry is
+          // non-controlling (controlling: 0 for AND/NAND, 1 for OR/NOR).
+          // Counted to two over the entries, that is where fewer than two
+          // control if p does and none does otherwise.
+          const Word flip = controlling_flip(types[gi]);
+          Word one = 0;
+          Word two = 0;
+          for (std::size_t p = 0; p < k; ++p) {
+            const Word c = row[fan[p]] ^ flip;
+            two |= one & c;
+            one |= c;
+          }
           for (std::size_t p = 0; p < k; ++p)
-            prefix[p + 1] = prefix[p] | row[fan[p]];
-          suffix[k] = 0;
-          for (std::size_t p = k; p-- > 0;)
-            suffix[p] = suffix[p + 1] | row[fan[p]];
-          for (std::size_t p = 0; p < k; ++p)
-            emit(p, Sg & ~(prefix[p] | suffix[p + 1]));
+            emit(p, Sg & ~(two | (one & ~(row[fan[p]] ^ flip))));
           break;
         }
         default:

@@ -95,7 +95,11 @@ struct GoodTrace {
   /// holds the cycle's inputs (primary inputs and the state entering the
   /// cycle) and its outputs (primary outputs and next state) as lane words,
   /// so it is both the base of the event-driven overlay and the source a
-  /// packed entry of a diverged step reads its primary inputs from.
+  /// packed entry of a diverged step reads its primary inputs from. Each
+  /// row is a whole LogicSim::values() row: after the gate words, one
+  /// two-controlling word per wide gate (kWideFanins), with which the
+  /// overlay updates a wide gate in O(1). The tail of a cycle that carries
+  /// X is stale; such a cycle never takes the O(1) path.
   std::vector<std::vector<Word>> gate_values;
 
   /// Set by the fault-simulation engine on a time-sliced batch: the lanes
@@ -143,7 +147,10 @@ struct GoodTrace {
   /// cycles, the large majority of excited cycles, never become candidates.
   /// Pin faults get the same exactness per fanin *entry* (`exc_pin_obs1[e]`:
   /// some lane has the pin's driver at 1, the pin locally sensitive — every
-  /// other fanin of the gate non-controlling — and the gate head-sensitive;
+  /// other fanin entry of the gate non-controlling; for an AND/OR gate the
+  /// builder counts the controlling entries to two, `one` and `two`, and
+  /// takes S_g & ~(two | (one & ~c_p)) with c_p the pin's controlling
+  /// lanes — and the gate head-sensitive;
   /// `exc_pin_obs0` dually; `exc_pin_base[g]` maps gate g's pin p to entry
   /// exc_pin_base[g]+p). Bridges derive conservative supersets from the
   /// per-gate bits. Cycles that carry X are candidates for every fault
@@ -349,13 +356,11 @@ class ScanBatchSim {
   std::vector<std::uint32_t> parked_;
   std::vector<PackedEntry> pack_;
   std::vector<std::uint32_t> pack_cursor_;
-  // Index-sweep scratch (prepare_index_scratch): FFR head flags, the
-  // per-cycle head sensitivity S, and the AND/OR prefix/suffix products.
-  // The sweep reads the netlist from sim_'s CSR.
+  // Index-sweep scratch (prepare_index_scratch): FFR head flags and the
+  // per-cycle head sensitivity S. The sweep reads the netlist from sim_'s
+  // CSR.
   std::vector<std::uint8_t> idx_head_;
   std::vector<Word> idx_sens_;
-  std::vector<Word> idx_prefix_;
-  std::vector<Word> idx_suffix_;
 };
 
 }  // namespace fstg

@@ -145,6 +145,137 @@ TEST(LogicSim, RunConeEquivalentToFullRun) {
   }
 }
 
+/// Wide AND, NAND, OR and NOR gates (9-16 fanins) over 12 inputs: the NAND
+/// reads input 3 on two pins, the OR collects 12 product terms that share
+/// their literals pairwise (a fault on a shared literal changes two of its
+/// fanins), and `bridge` joins two of the OR's product terms.
+Netlist wide_gates(FaultSpec& bridge) {
+  Netlist nl;
+  std::vector<int> in;
+  for (int i = 0; i < 12; ++i)
+    in.push_back(nl.add_input("i" + std::to_string(i)));
+  std::vector<int> terms;
+  for (int k = 0; k < 12; ++k)
+    terms.push_back(nl.add_gate(GateType::kAnd, {in[k], in[(k + 1) % 12]}));
+  std::vector<int> or_fanins = terms;
+  or_fanins.insert(or_fanins.end(), {in[0], in[5], in[7], in[11]});
+  const int wide_or = nl.add_gate(GateType::kOr, or_fanins);
+  const int wide_and = nl.add_gate(
+      GateType::kAnd, {in[0], in[1], in[2], in[3], in[4], in[5], in[6],
+                       in[7], terms[8]});
+  const int wide_nand = nl.add_gate(
+      GateType::kNand, {in[3], in[4], in[3], in[5], in[6], in[7], in[8],
+                        in[9], in[10], in[11]});
+  const int wide_nor = nl.add_gate(
+      GateType::kNor, {terms[0], terms[1], terms[2], terms[3], terms[4],
+                       terms[5], in[6], in[7], in[8], in[9], in[10], in[11],
+                       wide_and});
+  nl.add_output(wide_or);
+  nl.add_output(wide_and);
+  nl.add_output(wide_nand);
+  nl.add_output(wide_nor);
+  nl.add_output(nl.add_gate(GateType::kXor, {wide_or, wide_nand}));
+  bridge = FaultSpec::bridge_and(terms[2], terms[6]);
+  return nl;
+}
+
+/// Every stuck-at gate fault, every stuck-at pin fault of every wide gate,
+/// every enumerated bridge and `extra` through the overlay over 16 seeded
+/// rows (the last 4 with X lanes), against a full faulty evaluation.
+/// Counts the overlay's O(1) wide-gate evaluations into `incremental`.
+void expect_wide_overlay_matches_full_run(const Netlist& nl,
+                                          const std::vector<FaultSpec>& extra,
+                                          std::uint64_t seed,
+                                          std::uint64_t& incremental) {
+  std::vector<FaultSpec> faults = enumerate_stuck_at(
+      nl, StuckAtOptions{/*include_branches=*/false, /*collapse=*/false});
+  std::vector<int> wide;
+  LogicSim full(nl);
+  for (int g = 0; g < nl.num_gates(); ++g) {
+    if (full.wide_word(g) < 0) continue;
+    wide.push_back(g);
+    for (std::size_t p = 0; p < nl.gate(g).fanins.size(); ++p)
+      for (const bool v : {false, true})
+        faults.push_back(FaultSpec::stuck_pin(g, static_cast<int>(p), v));
+  }
+  EXPECT_FALSE(wide.empty());
+  const std::vector<FaultSpec> bridges = enumerate_bridging(nl);
+  faults.insert(faults.end(), bridges.begin(), bridges.end());
+  faults.insert(faults.end(), extra.begin(), extra.end());
+
+  LogicSim overlay(nl);
+  Rng rng(seed);
+  for (int trial = 0; trial < 16; ++trial) {
+    // Input densities of 1/2, 3/4, 1/4 and 7/8 ones, so the AND-type gates
+    // get lanes with one or no controlling fanin too.
+    full.clear_input_x();
+    for (int i = 0; i < nl.num_inputs(); ++i) {
+      Word w = rng.next();
+      if (trial % 4 == 1) w |= rng.next();
+      if (trial % 4 == 2) w &= rng.next();
+      if (trial % 4 == 3) w |= rng.next() | rng.next();
+      full.set_input(i, w);
+      if (trial >= 12) full.set_input_x(i, rng.next() & rng.next());
+    }
+    full.run();
+    const std::vector<Word> base = full.values();
+    const std::vector<Word> base_x = full.xvals();
+    const Word* bx = full.last_run_had_x() ? base_x.data() : nullptr;
+    ASSERT_EQ(bx != nullptr, trial >= 12);
+    if (bx == nullptr) {
+      // Each two-controlling word against a count of the gate's fanin
+      // entries that hold the controlling value.
+      for (const int g : wide) {
+        const GateType t = nl.gate(g).type;
+        const bool control = t == GateType::kOr || t == GateType::kNor;
+        Word two = 0;
+        for (int l = 0; l < kWordBits; ++l) {
+          int count = 0;
+          for (const int f : nl.gate(g).fanins)
+            count += ((base[static_cast<std::size_t>(f)] >> l) & 1u) ==
+                     static_cast<Word>(control);
+          if (count >= 2) two |= Word{1} << l;
+        }
+        ASSERT_EQ(base[static_cast<std::size_t>(full.wide_word(g))], two)
+            << "trial " << trial << " gate " << g;
+      }
+    }
+    for (const FaultSpec& fault : faults) {
+      full.run(fault);
+      const int changed = overlay.run_cone_overlay(fault, base.data(), bx);
+      EXPECT_EQ(overlay.fault_excited(fault, base.data(), bx), changed > 0)
+          << "trial " << trial << " fault " << describe_fault(nl, fault);
+      for (int k = 0; k < nl.num_outputs(); ++k) {
+        ASSERT_EQ(full.output(k), overlay.overlay_output(k, base.data()))
+            << "trial " << trial << " fault " << describe_fault(nl, fault)
+            << " output " << k;
+        ASSERT_EQ(full.output_x(k), overlay.overlay_output_xval(k, bx))
+            << "trial " << trial << " fault " << describe_fault(nl, fault)
+            << " output " << k;
+      }
+    }
+  }
+  incremental = overlay.stats().wide_incremental;
+}
+
+TEST(LogicSim, WideGateOverlayMatchesFullRun) {
+  // keyb's ORs have 13-40 fanins; dk17's widest gate has 8, so
+  // RunConeEquivalentToFullRun never reaches the O(1) update.
+  const Netlist keyb =
+      synthesize_scan_circuit(load_benchmark("keyb")).circuit.comb;
+  std::uint64_t incremental = 0;
+  expect_wide_overlay_matches_full_run(keyb, {}, 24, incremental);
+  EXPECT_GT(incremental, 0u);
+  FaultSpec bridge;
+  const Netlist crafted = wide_gates(bridge);
+  const FaultSpec or_bridge =
+      FaultSpec::bridge_or(bridge.gate, bridge.gate2_or_pin);
+  incremental = 0;
+  expect_wide_overlay_matches_full_run(crafted, {bridge, or_bridge}, 9,
+                                       incremental);
+  EXPECT_GT(incremental, 0u);
+}
+
 /// Seeded random packs of up to 64 entries over `circuit`'s netlist, each
 /// bit checked against the scalar reference (src/difftest/reference_sim)
 /// for its entry alone: every gate's value and X. The entries mix stuck-at

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "base/error.h"
 #include "fault/fault_sim.h"
 #include "harness/experiment.h"
+#include "netlist/cones.h"
 
 namespace fstg {
 namespace {
@@ -83,6 +86,76 @@ TEST(ScanSim, SingleLaneStuckFaultDetection) {
   const FaultSimResult r =
       simulate_faults(circuit, one, {FaultSpec::stuck_gate(po_gate, true)});
   EXPECT_EQ(r.detected_by, std::vector<int>{0});
+}
+
+/// Build the excitation index of `batch` and check it against its
+/// definition on every two-valued cycle c: bit c of exc_obs1[g] (exc_obs0)
+/// is set exactly when stuck-at-0 (stuck-at-1) at g, run through the
+/// overlay on row c, changes g's FFR head in some active lane, and bit c of
+/// exc_pin_obs1[e] (exc_pin_obs0) likewise for the stuck-at pin fault of
+/// fanin entry e. Counts the cycles checked into `checked`.
+void expect_index_matches_definition(const ScanCircuit& circuit,
+                                     std::span<const ScanPattern> batch,
+                                     std::size_t& checked) {
+  ScanBatchSim sim(circuit);
+  GoodTrace good = sim.run_good(batch);
+  ScanBatchSim* const slot = &sim;
+  ScanBatchSim::build_excitation_index(good, {&slot, 1});
+  const Netlist& nl = circuit.comb;
+  const std::vector<int> head = fanout_free_cones(nl).head;
+  const std::size_t n = static_cast<std::size_t>(nl.num_gates());
+  const std::size_t entries = good.exc_pin_base.back();
+  LogicSim overlay(nl);
+  for (std::size_t c = 0; c < good.active.size(); ++c) {
+    if (good.cycle_has_x(c)) continue;
+    ++checked;
+    const Word* row = good.gate_values[c].data();
+    const Word active = good.active[c];
+    const std::size_t w = c >> 6;
+    const auto bit = [&](const std::vector<std::uint64_t>& bits,
+                         std::size_t at) {
+      return ((bits[at] >> (c & 63)) & 1u) != 0;
+    };
+    const auto head_changes = [&](const FaultSpec& fault) {
+      overlay.run_cone_overlay(fault, row);
+      const int h = head[static_cast<std::size_t>(fault.gate)];
+      return ((overlay.overlay_value(h, row) ^ row[h]) & active) != 0;
+    };
+    for (std::size_t g = 0; g < n; ++g) {
+      const int gi = static_cast<int>(g);
+      ASSERT_EQ(bit(good.exc_obs1, w * n + g),
+                head_changes(FaultSpec::stuck_gate(gi, false)))
+          << "cycle " << c << " gate " << g;
+      ASSERT_EQ(bit(good.exc_obs0, w * n + g),
+                head_changes(FaultSpec::stuck_gate(gi, true)))
+          << "cycle " << c << " gate " << g;
+      const std::size_t pins = nl.gate(gi).fanins.size();
+      for (std::size_t p = 0; p < pins; ++p) {
+        const std::size_t e = good.exc_pin_base[g] + p;
+        const int pi = static_cast<int>(p);
+        ASSERT_EQ(bit(good.exc_pin_obs1, w * entries + e),
+                  head_changes(FaultSpec::stuck_pin(gi, pi, false)))
+            << "cycle " << c << " gate " << g << " pin " << p;
+        ASSERT_EQ(bit(good.exc_pin_obs0, w * entries + e),
+                  head_changes(FaultSpec::stuck_pin(gi, pi, true)))
+            << "cycle " << c << " gate " << g << " pin " << p;
+      }
+    }
+  }
+}
+
+TEST(ScanSim, ExcitationIndexMatchesDefinition) {
+  // mark1's ORs have 11-32 fanins; keyb's first 64 tests fill one batch.
+  for (const char* name : {"lion", "dk17", "mark1", "keyb"}) {
+    SCOPED_TRACE(name);
+    const CircuitExperiment exp = run_circuit(name);
+    const std::vector<ScanPattern> patterns = to_scan_patterns(exp.gen.tests);
+    const std::span<const ScanPattern> batch(
+        patterns.data(), std::min<std::size_t>(patterns.size(), kWordBits));
+    std::size_t checked = 0;
+    expect_index_matches_definition(exp.synth.circuit, batch, checked);
+    EXPECT_GT(checked, 0u);
+  }
 }
 
 }  // namespace
