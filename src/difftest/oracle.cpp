@@ -45,7 +45,6 @@ constexpr const char* kInvariantCounters[] = {
     "sim.event_pushes",
     "sim.event_pops",
     "sim.overlay_calls",
-    "sim.overlay_unexcited",
     "sim.overlay_gates_changed",
     "sim.overlay_wide_incremental",
 };

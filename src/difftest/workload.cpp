@@ -39,17 +39,26 @@ void append_observers(ScanCircuit& circuit, Rng& rng, int count, bool wide) {
     if (arity >= 2 && rng.chance(1, 4)) fanins[1] = fanins[0];
     observers.push_back(enriched.add_gate(type, std::move(fanins)));
   }
-  // The wide observer: 9-12 fanins, a quarter of the time with a
-  // duplicated one.
+  // The wide observer: 9-12 fanins, seven in eight of them drawn from 2-4
+  // drivers. Each driver then sits on several pins, and in some lanes it is
+  // the only one holding the controlling value, so a fault that takes that
+  // value away flips the gate: the lane where the O(1) update must count a
+  // driver on two pins twice. Fanins drawn from the whole netlist almost
+  // never leave one driver alone with the controlling value.
   if (wide) {
     constexpr GateType kWideTypes[] = {GateType::kAnd, GateType::kNand,
                                        GateType::kOr, GateType::kNor};
     const GateType type = kWideTypes[rng.below(4)];
     const int arity = kWideFanins + 1 + static_cast<int>(rng.below(4));
+    const auto any_net = [&] {
+      return static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
+    };
+    std::vector<int> drivers(2 + rng.below(3));
+    for (int& d : drivers) d = any_net();
     std::vector<int> fanins;
     for (int p = 0; p < arity; ++p)
-      fanins.push_back(static_cast<int>(rng.below(static_cast<std::uint64_t>(n))));
-    if (rng.chance(1, 4)) fanins[1] = fanins[0];
+      fanins.push_back(rng.chance(7, 8) ? drivers[rng.below(drivers.size())]
+                                        : any_net());
     observers.push_back(enriched.add_gate(type, std::move(fanins)));
   }
 
@@ -199,8 +208,9 @@ Workload generate_workload(std::uint64_t seed) {
 
   // Synthesis emits only ORs wider than kWideFanins, and none with a
   // duplicated fanin, so a third of the workloads get one wide AND, NAND,
-  // OR or NOR observer too, with its stuck-at stem and pin faults (the
-  // O(1) wide-gate update counts a driver on two pins twice). Drawn after
+  // OR or NOR observer too, over a few drivers on several pins each, with
+  // its stuck-at stem and pin faults (the O(1) wide-gate update counts a
+  // driver on two pins twice). Drawn after
   // everything else: the workload keeps its faults and tests, and an
   // observer changes no state.
   if (rng.chance(1, 3)) {

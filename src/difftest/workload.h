@@ -55,13 +55,13 @@ struct Workload {
 Workload generate_workload(std::uint64_t seed);
 
 /// Append `count` random XOR/XNOR observer gates over existing nets and,
-/// with `wide`, one AND, NAND, OR or NOR observer of 9-12 fanins (a wide
-/// gate, kWideFanins; the netlist's last gate), as extra primary outputs
-/// (rebuilds the netlist so the output order stays
-/// [primary outputs][next-state]; original gate ids are preserved).
-/// Observers deepen reconvergent fan-out and, with deliberate duplicated
-/// fanins, exercise per-pin stuck-at semantics and the wide gates' O(1)
-/// update.
+/// with `wide`, one AND, NAND, OR or NOR observer of 9-12 fanins drawn
+/// mostly from 2-4 drivers (a wide gate, kWideFanins; the netlist's last
+/// gate), as extra primary outputs (rebuilds the netlist so the output
+/// order stays [primary outputs][next-state]; original gate ids are
+/// preserved). Observers deepen reconvergent fan-out and, with deliberate
+/// duplicated fanins, exercise per-pin stuck-at semantics and the wide
+/// gates' O(1) update.
 void append_observers(ScanCircuit& circuit, Rng& rng, int count,
                       bool wide = false);
 

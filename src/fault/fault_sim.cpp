@@ -101,7 +101,6 @@ void flush_sim_stats(const LogicSimStats& logic, const ScanSimStats& scan) {
   static const obs::Counter c_pushes = obs::counter("sim.event_pushes");
   static const obs::Counter c_pops = obs::counter("sim.event_pops");
   static const obs::Counter c_calls = obs::counter("sim.overlay_calls");
-  static const obs::Counter c_unexcited = obs::counter("sim.overlay_unexcited");
   static const obs::Counter c_changed = obs::counter("sim.overlay_gates_changed");
   static const obs::Counter c_wide =
       obs::counter("sim.overlay_wide_incremental");
@@ -117,7 +116,6 @@ void flush_sim_stats(const LogicSimStats& logic, const ScanSimStats& scan) {
   c_pushes.add(logic.event_pushes);
   c_pops.add(logic.event_pops);
   c_calls.add(logic.overlay_calls);
-  c_unexcited.add(logic.overlay_unexcited);
   c_changed.add(logic.gates_changed);
   c_wide.add(logic.wide_incremental);
   c_skipped.add(scan.cycles_skipped);
@@ -219,9 +217,8 @@ GoodTrace sliced_good_trace(ScanBatchSim& sim,
   }
 }
 
-/// Fault-level parallelism, and a batch's excitation index, only pay off
-/// once the batch carries enough live faults to amortize the fork/join of
-/// one parallel region and the index's sweep.
+/// Fault-level parallelism only pays off once the batch carries enough
+/// live faults to amortize the fork/join of one parallel region.
 constexpr std::size_t kMinParallelFaults = 64;
 
 }  // namespace
@@ -297,12 +294,9 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
   // One simulator per worker slot; slot 0 (the caller) doubles as the
   // good-trace simulator. The good trace itself is immutable and shared.
   std::vector<std::unique_ptr<ScanBatchSim>> sims;
-  std::vector<ScanBatchSim*> slots;
   sims.reserve(static_cast<std::size_t>(threads));
-  for (int s = 0; s < threads; ++s) {
+  for (int s = 0; s < threads; ++s)
     sims.push_back(std::make_unique<ScanBatchSim>(circuit));
-    slots.push_back(sims.back().get());
-  }
 
   std::vector<std::size_t> still_alive;
   std::vector<ScanPattern> segments;
@@ -327,18 +321,6 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
         good = sims[0]->run_good(batch);
       }
     }
-    // One excitation/observability index per batch, shared read-only by
-    // every worker; its words split across the slots (same index for any
-    // split). It costs about one extra good simulation, so a batch builds
-    // it only where it carries enough live faults to pay that back; below
-    // the bar each fault tests excitation cycle by cycle. The index only
-    // skips cycles that change no output or next state, so the results
-    // are the same either way.
-    if (alive.size() >= kMinParallelFaults) {
-      obs::Span span("fault_sim.excitation_index");
-      ScanBatchSim::build_excitation_index(good, slots);
-    }
-
     // Each live fault is simulated independently against the shared good
     // trace; a chunk's faults go to its slot's simulator together, so their
     // diverged cycles share packed sweeps. detected_by writes are disjoint

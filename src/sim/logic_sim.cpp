@@ -28,6 +28,13 @@ std::pair<Word, Word> wired3(bool or_type, Word v1, Word x1, Word v2,
   return {v, ~(v | def0_1 | def0_2)};
 }
 
+/// XOR mask that turns a fanin word of an AND, NAND, OR or NOR gate of type
+/// `t` into the lanes where it holds the controlling value (0 for AND/NAND,
+/// 1 for OR/NOR).
+inline Word controlling_flip(GateType t) {
+  return t == GateType::kAnd || t == GateType::kNand ? kOnes : 0;
+}
+
 /// XOR mask between the lanes where some fanin controls and the output of
 /// a wide gate of type `t`: OR and NAND are 1 there, AND and NOR 0.
 inline Word output_flip(GateType t) {
@@ -388,10 +395,7 @@ int LogicSim::run_cone_overlay(const FaultSpec& fault, const Word* base,
       break;
     }
   }
-  if (changed == 0) {
-    ++stats_.overlay_unexcited;
-    return 0;  // fault not excited: nothing can propagate
-  }
+  if (changed == 0) return 0;  // fault not excited: nothing can propagate
 
   // Propagate the change wavefront. Ids are topological (fanins smaller),
   // so the min-heap pops gates in evaluation order: by the time a gate pops,
@@ -443,46 +447,43 @@ int LogicSim::run_cone_overlay(const FaultSpec& fault, const Word* base,
   return changed;
 }
 
-bool LogicSim::fault_excited(const FaultSpec& fault, const Word* base,
+Word LogicSim::fault_excited(const FaultSpec& fault, const Word* base,
                              const Word* base_x) const {
-  const auto base_xv = [base_x](int g) {
-    return base_x == nullptr ? Word{0} : base_x[g];
-  };
   switch (fault.kind) {
     case FaultSpec::Kind::kNone:
-      return false;
+      return 0;
     case FaultSpec::Kind::kStuckGate: {
       const int site = fault.gate;
-      const Word forced = fault.value ? kOnes : 0;
-      return forced != base[site] || base_xv(site) != 0;
+      const Word site_x = base_x == nullptr ? 0 : base_x[site];
+      return ((fault.value ? kOnes : 0) ^ base[site]) | site_x;
     }
     case FaultSpec::Kind::kStuckPin: {
       const int site = fault.gate;
       const Word pin_v = fault.value ? kOnes : 0;
       if (base_x == nullptr)
-        return eval_pin_forced(site, fault.gate2_or_pin, pin_v, base) !=
+        return eval_pin_forced(site, fault.gate2_or_pin, pin_v, base) ^
                base[site];
       const auto [v, x] = eval_gate_x_with(site, [&](int p, int g) {
         return p == fault.gate2_or_pin
                    ? std::pair<Word, Word>{pin_v, 0}
                    : std::pair<Word, Word>{base[g], base_x[g]};
       });
-      return v != base[site] || x != base_xv(site);
+      return (v ^ base[site]) | (x ^ base_x[site]);
     }
     case FaultSpec::Kind::kBridge: {
       const int site = fault.gate;
       const int site2 = fault.gate2_or_pin;
       // Two-valued wired resolution yields a defined value in
-      // {v1 & v2, v1 | v2}, which differs from a line exactly when the two
-      // lines disagree — one XOR decides excitation for both bridge types.
-      if (base_x == nullptr) return (base[site] ^ base[site2]) != 0;
-      const auto [wv, wx] = wired3(fault.value, base[site], base_xv(site),
-                                   base[site2], base_xv(site2));
-      return wv != base[site] || wx != base_xv(site) || wv != base[site2] ||
-             wx != base_xv(site2);
+      // {v1 & v2, v1 | v2}, which differs from a line exactly where the two
+      // lines disagree — one XOR decides the lanes for both bridge types.
+      if (base_x == nullptr) return base[site] ^ base[site2];
+      const auto [wv, wx] = wired3(fault.value, base[site], base_x[site],
+                                   base[site2], base_x[site2]);
+      return (wv ^ base[site]) | (wx ^ base_x[site]) | (wv ^ base[site2]) |
+             (wx ^ base_x[site2]);
     }
   }
-  return false;
+  return 0;
 }
 
 void LogicSim::overlay_prepare() {

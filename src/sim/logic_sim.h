@@ -66,30 +66,21 @@ struct PackedEntry {
 /// of them would nearly double every row.
 inline constexpr int kWideFanins = 8;
 
-/// XOR mask that turns a fanin word of an AND, NAND, OR or NOR gate of type
-/// `t` into the lanes where it holds the controlling value (0 for AND/NAND,
-/// 1 for OR/NOR).
-inline Word controlling_flip(GateType t) {
-  return t == GateType::kAnd || t == GateType::kNand ? ~Word{0} : 0;
-}
-
 /// Tallies of the event-driven overlay path, accumulated with plain
 /// increments (a simulator instance is thread-confined, so no atomics in
 /// the hot loop); the fault-simulation engine flushes them into the obs
 /// metrics registry once per run (counters sim.event_pushes /
-/// sim.event_pops / sim.overlay_calls / sim.overlay_unexcited /
-/// sim.overlay_gates_changed / sim.overlay_wide_incremental).
+/// sim.event_pops / sim.overlay_calls / sim.overlay_gates_changed /
+/// sim.overlay_wide_incremental).
 struct LogicSimStats {
-  std::uint64_t overlay_calls = 0;      ///< run_cone_overlay invocations
-  std::uint64_t overlay_unexcited = 0;  ///< calls that returned 0
-  std::uint64_t event_pushes = 0;       ///< event-queue insertions
-  std::uint64_t event_pops = 0;         ///< event-queue removals
-  std::uint64_t gates_changed = 0;      ///< overlay stamps (value != base)
-  std::uint64_t wide_incremental = 0;   ///< wide gates evaluated in O(1)
+  std::uint64_t overlay_calls = 0;     ///< run_cone_overlay invocations
+  std::uint64_t event_pushes = 0;      ///< event-queue insertions
+  std::uint64_t event_pops = 0;        ///< event-queue removals
+  std::uint64_t gates_changed = 0;     ///< overlay stamps (value != base)
+  std::uint64_t wide_incremental = 0;  ///< wide gates evaluated in O(1)
 
   LogicSimStats& operator+=(const LogicSimStats& o) {
     overlay_calls += o.overlay_calls;
-    overlay_unexcited += o.overlay_unexcited;
     event_pushes += o.event_pushes;
     event_pops += o.event_pops;
     gates_changed += o.gates_changed;
@@ -176,12 +167,6 @@ class LogicSim {
   int wide_word(int gate) const {
     return wide_word_[static_cast<std::size_t>(gate)];
   }
-  /// The netlist in the CSR form the evaluation loop reads: gate g's type
-  /// is gate_types()[g] and its fanins are
-  /// fanins()[fanin_begin()[g] .. fanin_begin()[g + 1]).
-  const std::vector<GateType>& gate_types() const { return type_; }
-  const std::vector<int>& fanin_begin() const { return fanin_begin_; }
-  const std::vector<int>& fanins() const { return fanins_; }
   /// X plane of the last evaluation. Always sized num_gates; all-zero after
   /// a two-valued run. `last_run_had_x()` says whether it is worth storing.
   const std::vector<Word>& xvals() const { return xvals_; }
@@ -233,15 +218,19 @@ class LogicSim {
   int run_cone_overlay(const FaultSpec& fault, const Word* base,
                        const Word* base_x = nullptr);
 
-  /// Would run_cone_overlay stamp anything for `fault` against this base
-  /// cycle? Exactly the overlay's seeding predicate with none of its
-  /// epoch/heap setup. ~97% of (fault, cycle) pairs are unexcited, and for
-  /// stuck-at-gate faults — the bulk of every fault list — the answer is one
-  /// load and one compare, so the scan simulator asks this first and enters
-  /// the overlay machinery only for cycles that can actually propagate. A
-  /// stuck-at pin fault on a wide gate takes the overlay's O(1) update on a
-  /// two-valued row, so `base` must be a whole row, as for the overlay.
-  bool fault_excited(const FaultSpec& fault, const Word* base,
+  /// The lanes in which run_cone_overlay would stamp a fault site of
+  /// `fault` against this base cycle: where the site's (value, xmask)
+  /// differs from the base. That is the overlay's seeding predicate per
+  /// lane, with none of its epoch/heap setup: a stuck-at gate fault's site
+  /// deviates where the base value differs from the stuck value or is X, a
+  /// stuck-at pin fault's where its gate evaluated with the pin forced
+  /// differs, and a bridge where the wired value differs from either line.
+  /// Lanes are independent, so a cycle whose excited lanes miss every lane
+  /// a caller still tracks changes no output or next state there, and the
+  /// scan simulator runs the overlay only when they meet. A stuck-at pin
+  /// fault on a wide gate takes the overlay's O(1) update on a two-valued
+  /// row, so `base` must be a whole row, as for the overlay.
+  Word fault_excited(const FaultSpec& fault, const Word* base,
                      const Word* base_x) const;
 
   /// Faulty value of `gate` after run_cone_overlay (base value if unchanged).

@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "base/error.h"
-#include "base/parallel/thread_pool.h"
 
 namespace fstg {
 
@@ -25,20 +24,6 @@ inline Word below_lowest(Word v) {
 
 /// `a` where `m` is set, `b` elsewhere.
 inline Word blend(Word m, Word a, Word b) { return (a & m) | (b & ~m); }
-
-/// Index of the first set bit >= `from` in a bitset of `nwords` words
-/// (64*nwords if none).
-inline std::size_t next_set_bit(const std::uint64_t* words, std::size_t nwords,
-                                std::size_t from) {
-  std::size_t w = from >> 6;
-  if (w >= nwords) return nwords << 6;
-  std::uint64_t cur = words[w] & (~std::uint64_t{0} << (from & 63));
-  while (cur == 0) {
-    if (++w >= nwords) return nwords << 6;
-    cur = words[w];
-  }
-  return (w << 6) + static_cast<std::size_t>(std::countr_zero(cur));
-}
 
 }  // namespace
 
@@ -116,231 +101,6 @@ GoodTrace ScanBatchSim::run_good(std::span<const ScanPattern> batch) {
   return trace;
 }
 
-void ScanBatchSim::build_excitation_index(
-    GoodTrace& good, std::span<ScanBatchSim* const> slots) {
-  require(!slots.empty(), "excitation index needs a simulator");
-  const std::size_t W = (good.active.size() + 63) / 64;
-  // One word per chunk. Only the slots parallel_for hands work to get
-  // scratch: at most one per word, and just the caller's when this runs
-  // nested in another region (inline).
-  const std::size_t used = parallel::in_parallel_region()
-                               ? 1
-                               : std::clamp<std::size_t>(W, 1, slots.size());
-  for (std::size_t s = 0; s < used; ++s) slots[s]->prepare_index_scratch();
-  const std::vector<int>& fanin_begin = slots.front()->sim_.fanin_begin();
-  const std::size_t n = fanin_begin.size() - 1;
-  const std::size_t entries = static_cast<std::size_t>(fanin_begin[n]);
-  good.exc_words = W;
-  good.exc_any1.assign(n * W, 0);
-  good.exc_any0.assign(n * W, 0);
-  good.exc_obs1.assign(n * W, 0);
-  good.exc_obs0.assign(n * W, 0);
-  good.exc_pin_base.assign(fanin_begin.begin(), fanin_begin.end());
-  good.exc_pin_obs1.assign(entries * W, 0);
-  good.exc_pin_obs0.assign(entries * W, 0);
-  good.exc_x.assign(W, 0);
-  parallel::parallel_for(
-      W, 1, static_cast<int>(used),
-      [&](int slot, std::size_t lo, std::size_t hi) {
-        slots[static_cast<std::size_t>(slot)]->sweep_index_words(good, lo, hi);
-      });
-  good.exc_built = true;
-}
-
-void ScanBatchSim::prepare_index_scratch() {
-  const std::vector<int>& fanin_begin = sim_.fanin_begin();
-  const std::vector<int>& fanins = sim_.fanins();
-  const std::size_t n = fanin_begin.size() - 1;
-  if (idx_head_.size() == n) return;
-  // FFR structure (same head rule as netlist/cones.cpp): a gate is a head
-  // iff it drives a circuit output or has other than exactly one fanout
-  // *entry* — counting entries, not distinct gates, so a gate feeding two
-  // pins of the same fanout is a head too and the single-path sensitivity
-  // composition below never applies to it.
-  std::vector<int> fanout_entries(n, 0);
-  for (int f : fanins) ++fanout_entries[static_cast<std::size_t>(f)];
-  idx_head_.assign(n, 0);
-  for (std::size_t g = 0; g < n; ++g)
-    if (fanout_entries[g] != 1) idx_head_[g] = 1;
-  for (int out : circuit_->comb.outputs())
-    idx_head_[static_cast<std::size_t>(out)] = 1;
-  idx_sens_.assign(n, 0);
-}
-
-void ScanBatchSim::sweep_index_words(GoodTrace& good, std::size_t w_lo,
-                                     std::size_t w_hi) {
-  const std::vector<GateType>& types = sim_.gate_types();
-  const int* const pin_base = sim_.fanin_begin().data();
-  const int* const fanins = sim_.fanins().data();
-  const std::size_t n = types.size();
-  const std::size_t rows = good.active.size();
-  const std::size_t entries = static_cast<std::size_t>(pin_base[n]);
-  // S[g] = per-lane sensitivity of g's FFR head to g, valid for the cycle
-  // being swept: an interior gate's unique fanout has a higher id (the
-  // netlist is topological), so the descending sweep writes S[g] before g
-  // is visited. Heads never read their slot.
-  Word* const S = idx_sens_.data();
-  const std::uint8_t* const is_head = idx_head_.data();
-  for (std::size_t c = w_lo * 64; c < std::min(rows, w_hi * 64); ++c) {
-    const std::uint64_t bit = std::uint64_t{1} << (c & 63);
-    const std::size_t w = c >> 6;
-    if (good.cycle_has_x(c)) {
-      // X cycles are candidates for every fault; no per-gate bits needed.
-      good.exc_x[w] |= bit;
-      continue;
-    }
-    const Word active = good.active[c];
-    const Word* row = good.gate_values[c].data();
-    for (std::size_t gi = n; gi-- > 0;) {
-      const Word Sg = is_head[gi] ? active : S[gi];
-      const Word v = row[gi];
-      const std::size_t at = w * n + gi;
-      if ((v & active) != 0) good.exc_any1[at] |= bit;
-      if ((~v & active) != 0) good.exc_any0[at] |= bit;
-      const std::size_t begin = static_cast<std::size_t>(pin_base[gi]);
-      const std::size_t k = static_cast<std::size_t>(pin_base[gi + 1]) - begin;
-      const int* fan = fanins + begin;
-      if (Sg == 0) {
-        // Blocked everywhere: no lane of this gate reaches its head, so its
-        // obs and pin bits stay clear and so does every fanin's sensitivity.
-        for (std::size_t p = 0; p < k; ++p) {
-          const std::size_t f = static_cast<std::size_t>(fan[p]);
-          if (!is_head[f]) S[f] = 0;
-        }
-        continue;
-      }
-      if ((v & Sg) != 0) good.exc_obs1[at] |= bit;
-      if ((~v & Sg) != 0) good.exc_obs0[at] |= bit;
-      if (k == 0) continue;
-      const std::size_t pin_at = w * entries + begin;
-      // Per-pin work (two-valued; X cycles never reach this sweep):
-      //  - pin observability bits: a stuck pin deviates the gate where its
-      //    driver disagrees with the stuck value AND the pin is locally
-      //    sensitive (every other fanin non-controlling); the deviation
-      //    changes the head where the gate is head-sensitive on such a lane.
-      //  - head sensitivity pushed down to interior fanins:
-      //    S_fanin = S_g AND the pin's local sensitivity.
-      const auto emit = [&](std::size_t p, Word reach) {
-        const Word vd = row[fan[p]];
-        if ((vd & reach) != 0) good.exc_pin_obs1[pin_at + p] |= bit;
-        if ((~vd & reach) != 0) good.exc_pin_obs0[pin_at + p] |= bit;
-        const std::size_t f = static_cast<std::size_t>(fan[p]);
-        if (!is_head[f]) S[f] = reach;
-      };
-      switch (types[gi]) {
-        case GateType::kBuf:
-        case GateType::kNot:
-        case GateType::kXor:
-        case GateType::kXnor:
-          // A toggle on any input always toggles the output.
-          for (std::size_t p = 0; p < k; ++p) emit(p, Sg);
-          break;
-        case GateType::kAnd:
-        case GateType::kNand:
-        case GateType::kOr:
-        case GateType::kNor: {
-          // Pin p is sensitive where every *other* fanin entry is
-          // non-controlling (controlling: 0 for AND/NAND, 1 for OR/NOR).
-          // Counted to two over the entries, that is where fewer than two
-          // control if p does and none does otherwise.
-          const Word flip = controlling_flip(types[gi]);
-          Word one = 0;
-          Word two = 0;
-          for (std::size_t p = 0; p < k; ++p) {
-            const Word c = row[fan[p]] ^ flip;
-            two |= one & c;
-            one |= c;
-          }
-          for (std::size_t p = 0; p < k; ++p)
-            emit(p, Sg & ~(two | (one & ~(row[fan[p]] ^ flip))));
-          break;
-        }
-        default:
-          break;  // inputs/constants have no fanins
-      }
-    }
-  }
-}
-
-void ScanBatchSim::candidate_bits(const GoodTrace& good, const FaultSpec& fault,
-                                  std::vector<std::uint64_t>& cand) {
-  cand.clear();
-  if (!good.exc_built) return;
-  const std::size_t W = good.exc_words;
-  // Word-major index: a gate's (or fanin entry's) bitset is one word per
-  // block, so consecutive words are one block stride apart.
-  const std::size_t gates = good.exc_pin_base.size() - 1;
-  const std::size_t entries = good.exc_pin_base.back();
-  cand.assign(W, 0);
-  const auto any1 = [&](int g) {
-    return good.exc_any1.data() + static_cast<std::size_t>(g);
-  };
-  const auto any0 = [&](int g) {
-    return good.exc_any0.data() + static_cast<std::size_t>(g);
-  };
-  const auto obs1 = [&](int g) {
-    return good.exc_obs1.data() + static_cast<std::size_t>(g);
-  };
-  const auto obs0 = [&](int g) {
-    return good.exc_obs0.data() + static_cast<std::size_t>(g);
-  };
-  switch (fault.kind) {
-    case FaultSpec::Kind::kNone:
-      return;  // never excited: all-zero bitset
-    case FaultSpec::Kind::kStuckGate: {
-      // Exact (for X-free cycles): s-a-v deviates in the lanes where the
-      // site's fault-free value differs from v, and changes its FFR head's
-      // output iff one of those lanes is head-sensitive. Cycles whose
-      // deviation dies inside the FFR never become candidates.
-      const std::uint64_t* sel =
-          fault.value ? obs0(fault.gate) : obs1(fault.gate);
-      for (std::size_t w = 0; w < W; ++w)
-        cand[w] = sel[w * gates] | good.exc_x[w];
-      return;
-    }
-    case FaultSpec::Kind::kStuckPin: {
-      // Exact (for X-free cycles): the pin deviates the gate where its
-      // driver differs from v while the pin is locally sensitive, and the
-      // deviation reaches the FFR head where the gate is head-sensitive on
-      // such a lane — precisely the per-entry pin observability bits.
-      const std::size_t entry =
-          static_cast<std::size_t>(good.exc_pin_base[fault.gate]) +
-          static_cast<std::size_t>(fault.gate2_or_pin);
-      const std::uint64_t* sel =
-          (fault.value ? good.exc_pin_obs0.data() : good.exc_pin_obs1.data()) +
-          entry;
-      for (std::size_t w = 0; w < W; ++w)
-        cand[w] = sel[w * entries] | good.exc_x[w];
-      return;
-    }
-    case FaultSpec::Kind::kBridge: {
-      // Superset: an AND-type bridge (value=false) deviates a line only
-      // where it is 1 while the other line has a 0-lane, and a *single*
-      // deviating line only matters where it is head-sensitive; OR-type
-      // dually. When both lines can deviate in the same cycle their
-      // downstream effects may interact nonlinearly (two FFR paths
-      // reconverging), so head sensitivity proves nothing — any such cycle
-      // stays a candidate. Per-lane coincidence is re-checked on visit.
-      const int a = fault.gate;
-      const int b = fault.gate2_or_pin;
-      const std::uint64_t* sa = fault.value ? obs0(a) : obs1(a);
-      const std::uint64_t* sb = fault.value ? obs0(b) : obs1(b);
-      const std::uint64_t* da = fault.value ? any0(a) : any1(a);
-      const std::uint64_t* db = fault.value ? any0(b) : any1(b);
-      const std::uint64_t* oa = fault.value ? any1(a) : any0(a);
-      const std::uint64_t* ob = fault.value ? any1(b) : any0(b);
-      for (std::size_t w = 0; w < W; ++w) {
-        const std::size_t at = w * gates;
-        const std::uint64_t dev_a = da[at] & ob[at];  // line a can deviate
-        const std::uint64_t dev_b = db[at] & oa[at];  // line b can deviate
-        cand[w] = (sa[at] & ob[at]) | (sb[at] & oa[at]) |
-                           (dev_a & dev_b) | good.exc_x[w];
-      }
-      return;
-    }
-  }
-}
-
 void ScanBatchSim::run_faulty(std::span<const ScanPattern> batch,
                               const GoodTrace& good, std::span<FaultJob> jobs,
                               robust::RunGuard* guard) {
@@ -410,10 +170,6 @@ void ScanBatchSim::start(Cursor& k, FaultJob& job, const GoodTrace& good) {
   k.job = &job;
   const FaultSpec& fault = *job.fault;
   const std::vector<int>& cone = *job.cone;
-  // Candidate-cycle jumping (build_excitation_index): while no lane has
-  // diverged, cycles outside the fault's candidate bitset are provably
-  // unexcited and are skipped in blocks.
-  candidate_bits(good, fault, k.cand);
 
   // Only outputs inside the fault's cone — or that are fault sites
   // themselves (compute_fault_cones removes a bridge's two lines from its
@@ -563,17 +319,6 @@ bool ScanBatchSim::evaluate(Cursor& k, const GoodTrace& good) {
   const FaultSpec& fault = *k.job->fault;
   const std::size_t rows = good.active.size();
   for (std::size_t c = k.cycle; c < rows; ++c) {
-    if (!k.cand.empty() && k.dirty == 0) {
-      // A diverged lane evolves state every cycle, so jumping pauses while
-      // `dirty` is nonzero and resumes when the lanes reconverge.
-      const std::size_t next = next_set_bit(k.cand.data(), good.exc_words, c);
-      if (next != c) {
-        const std::size_t stop = std::min(next, rows);
-        stats_.cycles_skipped += static_cast<std::uint64_t>(stop - c);
-        if (stop == rows) break;
-        c = stop;  // fall through: this iteration processes the candidate
-      }
-    }
     // Once a lane detects, only *earlier* tests can change the
     // first-detection attribution, so later lanes stop mattering.
     const Word active = good.active[c] & below_lowest(k.detected) & k.lanes;
@@ -585,18 +330,24 @@ bool ScanBatchSim::evaluate(Cursor& k, const GoodTrace& good) {
     const Word* base_x = good.gate_x_of(c);
     // The diverged lanes go to a pack.
     const Word queued = k.dirty & active;
+    // The overlay runs only where the fault site deviates in a clean lane,
+    // one whose faulty state is the good row's. Lanes evaluate
+    // independently, so a clean lane whose site does not deviate keeps
+    // every output and its next state fault-free.
+    const Word clean = active & ~queued;
+    const bool excited = (sim_.fault_excited(fault, base, base_x) & clean) != 0;
 
     if (queued == 0) {
       // Every tracked lane is in the fault-free state: evaluate against the
-      // good trace through the event-driven overlay (no copying). An
-      // unexcited cycle (the ~97% case) is decided by the seeding predicate
-      // alone — for a stuck-at-gate fault one load and compare — without
-      // paying the overlay's epoch/heap setup.
-      if (!sim_.fault_excited(fault, base, base_x) ||
-          sim_.run_cone_overlay(fault, base, base_x) == 0) {
+      // good trace through the event-driven overlay (no copying). A cycle
+      // that excites no tracked lane is decided by the seeding predicate
+      // alone — for a stuck-at-gate fault one load and two word operations —
+      // without paying the overlay's epoch/heap setup.
+      if (!excited) {
         ++stats_.cycles_skipped;
-        continue;  // not excited: outputs and next state match fault-free
+        continue;
       }
+      sim_.run_cone_overlay(fault, base, base_x);
       ++stats_.cycles_overlay;
       const Word ns_diff = take_overlay(k, base, base_x, active);
       if ((below_lowest(k.detected) & k.lanes) == 0)
@@ -608,16 +359,12 @@ bool ScanBatchSim::evaluate(Cursor& k, const GoodTrace& good) {
     }
 
     // A diverged step: the clean lanes, whose faulty state is the good
-    // row's, take the overlay (a cycle outside the candidate bitset changes
-    // no head in any active lane); the queued lanes park for a pack.
+    // row's, take the overlay where it excites one of them; the queued
+    // lanes park for a pack.
     ++stats_.cycles_full;
-    const Word clean = active & ~queued;
-    const std::uint64_t cand_bit =
-        k.cand.empty() ? 1 : (k.cand[c >> 6] >> (c & 63)) & 1u;
     k.ns_diff = 0;
-    if (clean != 0 && cand_bit != 0 &&
-        sim_.fault_excited(fault, base, base_x) &&
-        sim_.run_cone_overlay(fault, base, base_x) != 0) {
+    if (excited) {
+      sim_.run_cone_overlay(fault, base, base_x);
       k.ns_diff = take_overlay(k, base, base_x, clean);
       if ((below_lowest(k.detected) & k.lanes) == 0) break;
     }

@@ -35,7 +35,8 @@ struct ScanPattern {
 /// like LogicSimStats (instances are thread-confined); flushed by the
 /// fault-simulation engine (counters scan.*).
 struct ScanSimStats {
-  std::uint64_t cycles_skipped = 0;     ///< unexcited cycles skipped whole
+  std::uint64_t cycles_skipped = 0;     ///< clean cycles exciting no
+                                        ///< tracked lane, skipped whole
   std::uint64_t cycles_overlay = 0;     ///< cycles evaluated event-driven
   std::uint64_t cycles_full = 0;        ///< diverged steps, per fault
   std::uint64_t dirty_activations = 0;  ///< lanes turning dirty
@@ -115,57 +116,6 @@ struct GoodTrace {
   std::vector<std::uint8_t> cycle_x;
   std::vector<std::vector<Word>> gate_x;
 
-  /// --- Excitation/observability index (event-driven fast path) ------------
-  ///
-  /// Per-gate bitsets over cycles, bit c of word c/64, built once per batch
-  /// by ScanBatchSim::build_excitation_index and shared read-only by all
-  /// workers. run_faulty jumps straight between candidate cycles instead of
-  /// testing excitation cycle by cycle.
-  ///
-  /// The bitsets are stored word-major: word w of gate g's bitset is
-  /// `exc_any1[w * gates + g]` (likewise `exc_any0`, `exc_obs*`), and word
-  /// w of fanin entry e's is `exc_pin_obs1[w * entries + e]`, where `gates`
-  /// is exc_pin_base.size() - 1 and `entries` is exc_pin_base.back(). One
-  /// word's 64 cycles thus fill one contiguous block per bitset kind, which
-  /// the builder's slots write without sharing.
-  ///
-  /// Every bit speaks about *active* lanes only (`active[c]`): a lane whose
-  /// test has ended keeps its last state for the rest of the batch, but it
-  /// can neither detect a fault nor turn dirty, so its values never make a
-  /// cycle a candidate.
-  ///
-  /// The excitation half: `exc_any1[g]` is set where any active lane of
-  /// gate g's fault-free value at cycle c is 1, `exc_any0[g]` where any
-  /// active lane is 0.
-  ///
-  /// The observability half folds in fanout-free-region propagation. For
-  /// each gate the builder computes S_g(c): the per-lane sensitivity of g's
-  /// FFR head to g at cycle c (active[c] when g is a head). `exc_obs1[g]`
-  /// is set where any lane has value 1 AND is head-sensitive (`exc_obs0`
-  /// for value 0). A stuck-at-0 at g changes its head's output exactly at
-  /// obs1 cycles (stuck-at-1 at obs0) — excited-but-dies-inside-the-FFR
-  /// cycles, the large majority of excited cycles, never become candidates.
-  /// Pin faults get the same exactness per fanin *entry* (`exc_pin_obs1[e]`:
-  /// some lane has the pin's driver at 1, the pin locally sensitive — every
-  /// other fanin entry of the gate non-controlling; for an AND/OR gate the
-  /// builder counts the controlling entries to two, `one` and `two`, and
-  /// takes S_g & ~(two | (one & ~c_p)) with c_p the pin's controlling
-  /// lanes — and the gate head-sensitive;
-  /// `exc_pin_obs0` dually; `exc_pin_base[g]` maps gate g's pin p to entry
-  /// exc_pin_base[g]+p). Bridges derive conservative supersets from the
-  /// per-gate bits. Cycles that carry X are candidates for every fault
-  /// (`exc_x`).
-  std::vector<std::uint64_t> exc_any1;
-  std::vector<std::uint64_t> exc_any0;
-  std::vector<std::uint64_t> exc_obs1;
-  std::vector<std::uint64_t> exc_obs0;
-  std::vector<std::uint64_t> exc_pin_obs1;
-  std::vector<std::uint64_t> exc_pin_obs0;
-  std::vector<std::uint32_t> exc_pin_base;
-  std::vector<std::uint64_t> exc_x;
-  std::size_t exc_words = 0;
-  bool exc_built = false;
-
   /// True iff cycle `c` carries any X (its X plane is stored).
   bool cycle_has_x(std::size_t c) const { return has_x && cycle_x[c] != 0; }
   /// Fault-free gate X plane of cycle c, or nullptr when fully defined.
@@ -207,17 +157,17 @@ class ScanBatchSim {
   /// Cycles in which a fault's tracked lanes are all in the fault-free
   /// state are evaluated event-driven against the good trace through the
   /// fault's cone: no copying of good values, only gates whose fanins
-  /// changed are re-evaluated, and unexcited cycles are skipped whole (in
-  /// blocks, where the trace carries an excitation index). A cycle in
+  /// changed are re-evaluated, and a cycle whose fault site deviates in no
+  /// tracked lane (LogicSim::fault_excited) is skipped whole. A cycle in
   /// which some tracked lane has diverged takes its clean lanes through the
-  /// same overlay and queues its diverged lanes as pack entries (fault,
-  /// lane, cycle, faulty state). Each fault is a cursor over its evaluation
-  /// passes that parks at every diverged cycle; parked cursors' entries
-  /// fill a pack of up to 64 from any faults, and once it is full or no
-  /// cursor can run on, the pack takes one LogicSim::run_packed sweep and
-  /// its cursors resume, before new faults start. Packing changes no
-  /// fault's result or dirty-set evolution, only how many sweeps they
-  /// share.
+  /// same overlay, where the site deviates in one of them, and queues its
+  /// diverged lanes as pack entries (fault, lane, cycle, faulty state).
+  /// Each fault is a cursor over its evaluation passes that parks at every
+  /// diverged cycle; parked cursors' entries fill a pack of up to 64 from
+  /// any faults, and once it is full or no cursor can run on, the pack
+  /// takes one LogicSim::run_packed sweep and its cursors resume, before
+  /// new faults start. Packing changes no fault's result or dirty-set
+  /// evolution, only how many sweeps they share.
   ///
   /// On a sliced trace (`good.sliced`) the lanes are segments of one test,
   /// and lane 0 of a job's result is set iff that whole test detects the
@@ -238,21 +188,6 @@ class ScanBatchSim {
   void run_faulty(std::span<const ScanPattern> batch, const GoodTrace& good,
                   std::span<FaultJob> jobs, robust::RunGuard* guard = nullptr);
 
-  /// Build the excitation/observability index on `good` (one backward
-  /// sensitivity sweep per cycle over the netlist — roughly the cost of one
-  /// extra good simulation per batch). The engine calls this once per
-  /// batch; the index is then shared read-only by every worker's
-  /// run_faulty.
-  ///
-  /// No cycle's sweep depends on another's, so the index's 64-cycle words
-  /// are handed out one per chunk across one parallel_for slot per
-  /// simulator in `slots` (all over the same circuit; slot s sweeps with
-  /// slots[s]'s scratch). Each word's block is written by exactly one slot,
-  /// so the index is the same for any number of slots; a single slot, or a
-  /// one-word batch, builds on the calling thread.
-  static void build_excitation_index(GoodTrace& good,
-                                     std::span<ScanBatchSim* const> slots);
-
   const ScanSimStats& stats() const { return stats_; }
   const LogicSimStats& sim_stats() const { return sim_.stats(); }
 
@@ -268,8 +203,6 @@ class ScanBatchSim {
     };
     FaultJob* job = nullptr;
     Stage stage = Stage::kBatch;
-    /// The fault's candidate cycles (candidate_bits), or empty.
-    std::vector<std::uint64_t> cand;
     /// The primary outputs and state variables inside the fault's cone.
     std::vector<int> po_cone;
     std::vector<int> sv_cone;
@@ -330,20 +263,6 @@ class ScanBatchSim {
   /// detection, next state and next-state difference into its cursor.
   void sweep_pack();
 
-  /// Compute the FFR head flags and size the index sweep's scratch (once
-  /// per simulator; build_excitation_index calls it on the calling thread
-  /// so the parallel sweep never allocates).
-  void prepare_index_scratch();
-  /// Sweep the cycles of index words [w_lo, w_hi) of `good`, setting bits
-  /// only in those words' blocks of the per-gate and per-pin bitsets.
-  void sweep_index_words(GoodTrace& good, std::size_t w_lo, std::size_t w_hi);
-
-  /// Materialize the excitation-candidate bitset for `fault` from the good
-  /// trace's index into `cand`; leaves it empty when the index is not built
-  /// (run_faulty then tests excitation cycle by cycle).
-  static void candidate_bits(const GoodTrace& good, const FaultSpec& fault,
-                             std::vector<std::uint64_t>& cand);
-
   const ScanCircuit* circuit_;
   LogicSim sim_;
   ScanSimStats stats_;
@@ -356,11 +275,6 @@ class ScanBatchSim {
   std::vector<std::uint32_t> parked_;
   std::vector<PackedEntry> pack_;
   std::vector<std::uint32_t> pack_cursor_;
-  // Index-sweep scratch (prepare_index_scratch): FFR head flags and the
-  // per-cycle head sensitivity S. The sweep reads the netlist from sim_'s
-  // CSR.
-  std::vector<std::uint8_t> idx_head_;
-  std::vector<Word> idx_sens_;
 };
 
 }  // namespace fstg

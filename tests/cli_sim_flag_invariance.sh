@@ -45,14 +45,19 @@ for c in lion dk17 cse; do
   check "$c" "--threads 0" "--threads 1" "--threads 8" "--static-prune" \
         "--cache-dir $dir/cache" "--cache-dir $dir/cache"
 done
-# rie's longest test (21,403 vectors) runs time-sliced too, as a batch of
-# 6 index words, and its next batch, headed by a 530-vector test, spans 9.
-# Each word is one chunk of the excitation index build, so both builds
-# fork; --threads 3 adds a slot count that divides neither the 64 lanes
-# nor the default fault chunking. rie's static prune takes seconds and
-# this script also runs under the sanitizer presets, so rie gets the
-# --threads rows only.
+# rie's longest test (21,403 vectors) runs time-sliced too, 64 segments of
+# 335 cycles as the lanes of one batch: its fault region spreads the live
+# faults over the slots, and a fault continued past a diverged segment end
+# runs its continuation passes inside its slot's chunk. --threads 3 adds a
+# slot count that divides neither the 64 lanes nor the default fault
+# chunking. rie's static prune takes seconds and this script also runs
+# under the sanitizer presets, so rie gets the --threads rows only.
 check rie "--threads 0" "--threads 1" "--threads 3" "--threads 8"
+# mark1 is a second sliced circuit: 16 outputs, ORs of 11-32 fanins, and
+# 162 faults continued past a diverged segment end. A continuation pass
+# tracks one segment's lane, so the lane mask, not the 64 lanes, decides
+# which of its cycles take the overlay.
+check mark1 "--threads 0" "--threads 1" "--threads 3" "--threads 8"
 # dk16's longest test is the heaviest sliced continuation: its segment
 # start states take 21 fixpoint rounds, and 1,005 faults continue past a
 # diverged segment. Its static prune leaves 10 bridging faults out, so the

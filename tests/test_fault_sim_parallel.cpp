@@ -1,16 +1,12 @@
 // Determinism lane for the parallel, event-driven fault-simulation engine:
 // bit-identical results across thread counts, agreement with the scalar
-// reference simulator, the same excitation index for any number of slots
-// building it, and well-formed partial results when a shared budget guard
-// trips mid-region.
+// reference simulator, and well-formed partial results when a shared
+// budget guard trips mid-region.
 // Runs under the tsan preset (`ctest --preset determinism`).
 
 #include "fault/fault_sim.h"
 
 #include <gtest/gtest.h>
-
-#include <bit>
-#include <memory>
 
 #include "base/obs/metrics.h"
 #include "base/parallel/thread_pool.h"
@@ -22,7 +18,6 @@
 #include "fault/fault.h"
 #include "harness/experiment.h"
 #include "netlist/reach.h"
-#include "sim/scan_sim.h"
 
 namespace fstg {
 namespace {
@@ -155,9 +150,8 @@ TEST(FaultSimParallel, EventDrivenMatchesReference) {
   EXPECT_GT(counter_delta(before, "scan.cycles_full"), 0u);
   // Long tests among 63 short ones, short enough for the scalar reference
   // under TSan. One two-valued long test is time-sliced. The X-bearing one
-  // and a pair of two-valued ones keep their batch whole: its index build
-  // forks (576 cycles are 9 words, one per chunk), and only the active
-  // lanes may make a tail cycle a candidate.
+  // and a pair of two-valued ones keep their batch whole, where only the
+  // active lanes may excite a fault in a tail cycle.
   struct Shape {
     const char* label;
     bool with_x;
@@ -176,78 +170,6 @@ TEST(FaultSimParallel, EventDrivenMatchesReference) {
     // X-bearing one included.
     EXPECT_GT(counter_delta(before, "scan.cycles_full"), 0u);
     EXPECT_GT(counter_delta(before, "scan.packed_sweeps"), 0u);
-  }
-}
-
-TEST(FaultSimParallel, ExcitationIndexIsTheSameForAnySlotCount) {
-  const ScanCircuit circuit =
-      synthesize_scan_circuit(load_benchmark("cse")).circuit;
-  std::vector<std::unique_ptr<ScanBatchSim>> owned;
-  std::vector<ScanBatchSim*> slots;
-  for (int s = 0; s < 8; ++s) {
-    owned.push_back(std::make_unique<ScanBatchSim>(circuit));
-    slots.push_back(owned.back().get());
-  }
-  const std::span<ScanBatchSim* const> all(slots);
-  // 64 tests of 335 cycles: every lane active for 6 words, the shape of a
-  // time-sliced batch (rie's chained test cut into 64 segments).
-  Rng rng(0x51ce);
-  TestSet segments;
-  for (int t = 0; t < 64; ++t) {
-    FunctionalTest test;
-    test.init_state = static_cast<int>(rng.below(1u << circuit.num_sv));
-    for (int c = 0; c < 335; ++c)
-      test.inputs.push_back(
-          static_cast<std::uint32_t>(rng.below(1u << circuit.num_pi)));
-    segments.tests.push_back(std::move(test));
-  }
-  struct Shape {
-    const char* label;
-    TestSet tests;
-    bool with_x;
-    std::size_t words;
-  };
-  // One word per chunk: over 2, 3 and 8 slots, 6 and 9 words give even
-  // splits, uneven ones and slots left without a word; 71 words keep all
-  // 8 slots busy.
-  const Shape shapes[] = {
-      {"64 lanes, 6 words", segments, false, 6},
-      {"9 words", long_and_short_tests(circuit, 530, false), false, 9},
-      {"two-valued, 71 words", long_and_short_tests(circuit, 4500, false),
-       false, 71},
-      {"X-bearing, 71 words", long_and_short_tests(circuit, 4500, true), true,
-       71},
-  };
-  for (const Shape& shape : shapes) {
-    SCOPED_TRACE(shape.label);
-    const std::vector<ScanPattern> batch = to_scan_patterns(shape.tests);
-    const GoodTrace base = slots[0]->run_good(batch);
-    ASSERT_EQ(base.has_x, shape.with_x);
-    GoodTrace serial = base;
-    ScanBatchSim::build_excitation_index(serial, all.first(1));
-    ASSERT_EQ(serial.exc_words, shape.words);
-    if (shape.with_x) {
-      // Both kinds of cycle inside the sweep: X cycles and clean ones.
-      std::size_t x_cycles = 0;
-      for (std::uint64_t w : serial.exc_x) x_cycles += std::popcount(w);
-      EXPECT_GT(x_cycles, 0u);
-      EXPECT_LT(x_cycles, base.active.size() / 2);
-    }
-    for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      GoodTrace good = base;
-      ScanBatchSim::build_excitation_index(good, all.first(threads));
-      EXPECT_TRUE(good.exc_built);
-      EXPECT_EQ(good.exc_words, serial.exc_words);
-      EXPECT_EQ(good.exc_any1, serial.exc_any1);
-      EXPECT_EQ(good.exc_any0, serial.exc_any0);
-      EXPECT_EQ(good.exc_obs1, serial.exc_obs1);
-      EXPECT_EQ(good.exc_obs0, serial.exc_obs0);
-      EXPECT_EQ(good.exc_pin_obs1, serial.exc_pin_obs1);
-      EXPECT_EQ(good.exc_pin_obs0, serial.exc_pin_obs0);
-      EXPECT_EQ(good.exc_pin_base, serial.exc_pin_base);
-      EXPECT_EQ(good.exc_x, serial.exc_x);
-    }
   }
 }
 

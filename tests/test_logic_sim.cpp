@@ -181,7 +181,8 @@ Netlist wide_gates(FaultSpec& bridge) {
 
 /// Every stuck-at gate fault, every stuck-at pin fault of every wide gate,
 /// every enumerated bridge and `extra` through the overlay over 16 seeded
-/// rows (the last 4 with X lanes), against a full faulty evaluation.
+/// rows (the last 4 with X lanes), against a full faulty evaluation, and
+/// fault_excited's lanes against the full evaluation's fault sites.
 /// Counts the overlay's O(1) wide-gate evaluations into `incremental`.
 void expect_wide_overlay_matches_full_run(const Netlist& nl,
                                           const std::vector<FaultSpec>& extra,
@@ -243,7 +244,19 @@ void expect_wide_overlay_matches_full_run(const Netlist& nl,
     for (const FaultSpec& fault : faults) {
       full.run(fault);
       const int changed = overlay.run_cone_overlay(fault, base.data(), bx);
-      EXPECT_EQ(overlay.fault_excited(fault, base.data(), bx), changed > 0)
+      // The excited lanes are those where the full run leaves a fault site
+      // (both lines of a bridge) apart from the base in value or X.
+      const auto deviates = [&](int g) {
+        const std::size_t gi = static_cast<std::size_t>(g);
+        return (full.value(g) ^ base[gi]) | (full.xval(g) ^ base_x[gi]);
+      };
+      Word site_lanes = deviates(fault.gate);
+      if (fault.kind == FaultSpec::Kind::kBridge)
+        site_lanes |= deviates(fault.gate2_or_pin);
+      const Word excited = overlay.fault_excited(fault, base.data(), bx);
+      EXPECT_EQ(excited, site_lanes)
+          << "trial " << trial << " fault " << describe_fault(nl, fault);
+      EXPECT_EQ(excited != 0, changed > 0)
           << "trial " << trial << " fault " << describe_fault(nl, fault);
       for (int k = 0; k < nl.num_outputs(); ++k) {
         ASSERT_EQ(full.output(k), overlay.overlay_output(k, base.data()))

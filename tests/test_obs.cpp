@@ -192,8 +192,8 @@ TEST(ObsPipeline, RunFsmEmitsStageSpans) {
 TEST(ObsPipeline, SimTraceNamesFaultFreePhases) {
   // What `fstg sim` runs: the pipeline up to the read-back, then one
   // simulation of the stuck-at and bridging lists of a test file. Each
-  // batch's good trace and excitation index get their own spans;
-  // generation is not part of it.
+  // batch's good trace gets its own span; generation is not part of it,
+  // and no batch builds an excitation index.
   const TestFile file = test_file_for(run_circuit("lion"));
   obs::start_tracing();
   const CircuitExperiment exp = implement_fsm(load_benchmark("lion"));
@@ -203,11 +203,12 @@ TEST(ObsPipeline, SimTraceNamesFaultFreePhases) {
   ASSERT_TRUE(obs::check_json("fstg_trace", json, nullptr, &error)) << error;
   for (const char* span :
        {"\"verify.readback\"", "\"fault_sim.run\"", "\"fault_sim.good_trace\"",
-        "\"fault_sim.excitation_index\"", "\"gate_level.fault_sim\""}) {
+        "\"gate_level.fault_sim\""}) {
     EXPECT_NE(json.find(span), std::string::npos) << "missing span " << span;
   }
   for (const char* span :
-       {"\"generate\"", "\"gate_level.stuck_at\"", "\"gate_level.bridging\""})
+       {"\"generate\"", "\"gate_level.stuck_at\"", "\"gate_level.bridging\"",
+        "\"fault_sim.excitation_index\""})
     EXPECT_EQ(json.find(span), std::string::npos) << "unexpected span " << span;
   EXPECT_TRUE(exp.gen.tests.tests.empty());
 }
