@@ -55,13 +55,12 @@ void BM_LogicSimFullEval(benchmark::State& state) {
 BENCHMARK(BM_LogicSimFullEval);
 
 /// The fault simulator's kernel: mark1's stuck-at faults as one chunk over
-/// one 64-test batch (event-driven, cone fast path, early exit), serial.
+/// one 64-test batch (event-driven overlay of the excited lanes, packed
+/// diverged steps, early exit), serial.
 void BM_FaultSimCone(benchmark::State& state) {
   const CircuitExperiment& exp = mark1_experiment();
   const ScanCircuit& circuit = exp.synth.circuit;
   const std::vector<FaultSpec> faults = enumerate_stuck_at(circuit.comb);
-  const std::vector<std::vector<int>> cones =
-      compute_fault_cones(circuit.comb, faults);
   const std::vector<ScanPattern> patterns = to_scan_patterns(
       exp.gen.tests.sorted_by_decreasing_length());
   ScanBatchSim sim(circuit);
@@ -71,7 +70,7 @@ void BM_FaultSimCone(benchmark::State& state) {
   const GoodTrace good = sim.run_good(batch);
   std::vector<FaultJob> jobs(faults.size());
   for (std::size_t f = 0; f < faults.size(); ++f)
-    jobs[f] = {&faults[f], &cones[f]};
+    jobs[f] = {&faults[f]};
   for (auto _ : state) {
     sim.run_faulty(batch, good, jobs);
     std::size_t detected = 0;

@@ -37,15 +37,11 @@ int controlling_value(GateType type) {
 }  // namespace
 
 StaticAnalyzer::StaticAnalyzer(const Netlist& nl,
-                               const AnalyzerOptions& options,
-                               const std::vector<BitVec>* reach)
-    : nl_(&nl), engine_(nl, options.engine), dom_(output_dominators(nl)) {
-  if (reach != nullptr) {
-    reach_ = reach;
-  } else {
-    reach_own_ = forward_reachability(nl);
-    reach_ = &reach_own_;
-  }
+                               const AnalyzerOptions& options)
+    : nl_(&nl),
+      engine_(nl, options.engine),
+      dom_(output_dominators(nl)),
+      reach_(forward_reachability(nl)) {
   static const obs::Counter c_runs = obs::counter("analysis.runs");
   static const obs::Counter c_constants = obs::counter("analysis.constants");
   static const obs::Counter c_learned =

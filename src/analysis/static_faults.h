@@ -45,16 +45,13 @@ struct FaultAnalysis {
 };
 
 /// Reusable static fault analyzer for one netlist: implication engine +
-/// output-dominator chain + (optional, borrowed) forward reachability.
-/// Immutable after construction; safe to share read-only across threads.
+/// output-dominator chain + forward reachability. Immutable after
+/// construction; safe to share read-only across threads.
 /// `classify`/`analyze` never throw.
 class StaticAnalyzer {
  public:
-  /// `reach` may borrow a precomputed forward_reachability(nl) matrix
-  /// (must outlive the analyzer); nullptr computes one internally.
   explicit StaticAnalyzer(const Netlist& nl,
-                          const AnalyzerOptions& options = {},
-                          const std::vector<BitVec>* reach = nullptr);
+                          const AnalyzerOptions& options = {});
 
   const ImplicationEngine& engine() const { return engine_; }
   /// output_dominators(nl) chain (netlist/cones.h sentinels).
@@ -67,7 +64,7 @@ class StaticAnalyzer {
 
  private:
   bool reaches(int from, int to) const {
-    return (*reach_)[static_cast<std::size_t>(from)].test(
+    return reach_[static_cast<std::size_t>(from)].test(
         static_cast<std::size_t>(to));
   }
   /// Walk the dominator chain above `from`, testing whether the closure in
@@ -81,8 +78,7 @@ class StaticAnalyzer {
   const Netlist* nl_;
   ImplicationEngine engine_;
   std::vector<int> dom_;
-  std::vector<BitVec> reach_own_;
-  const std::vector<BitVec>* reach_;
+  std::vector<BitVec> reach_;
 };
 
 /// Eagerly register every analysis.* counter so metrics scrapes list a

@@ -58,9 +58,6 @@ class BitVec {
   /// True if every set bit of this is also set in o.
   bool is_subset_of(const BitVec& o) const;
 
-  const std::vector<std::uint64_t>& words() const { return words_; }
-  std::vector<std::uint64_t>& words() { return words_; }
-
  private:
   void trim_tail();
 

@@ -33,8 +33,8 @@ CompactionResult compaction_from_detections(TestSet ordered_tests,
 /// effective ones. The premise (paper, Section 2): longer tests detect more
 /// faults, so simulating them first discards many short tests — every
 /// discarded test saves a scan operation regardless of its length.
-/// `sim_options` tunes the underlying engine (thread count, precomputed
-/// reachability); effective-test selection is bit-identical for any value.
+/// `sim_options` sets the underlying engine's thread count; effective-test
+/// selection is bit-identical for any value.
 CompactionResult select_effective_tests(const ScanCircuit& circuit,
                                         const TestSet& tests,
                                         const std::vector<FaultSpec>& faults,

@@ -11,56 +11,8 @@
 #include "base/obs/telemetry.h"
 #include "base/obs/trace.h"
 #include "base/parallel/thread_pool.h"
-#include "netlist/cones.h"
-#include "netlist/reach.h"
 
 namespace fstg {
-
-/// Output cone of each fault (sorted gate ids needing re-evaluation in the
-/// single-fault-propagation fast path). Stuck faults include their own
-/// gate; bridges exclude the two forced gates.
-std::vector<std::vector<int>> compute_fault_cones(
-    const Netlist& nl, const std::vector<FaultSpec>& faults) {
-  return compute_fault_cones(nl, faults, forward_reachability(nl));
-}
-
-std::vector<std::vector<int>> compute_fault_cones(
-    const Netlist& nl, const std::vector<FaultSpec>& faults,
-    const std::vector<BitVec>& reach) {
-  require(reach.size() == static_cast<std::size_t>(nl.num_gates()),
-          "compute_fault_cones: reachability matrix size mismatch");
-  std::vector<std::vector<int>> cones(faults.size());
-  for (std::size_t f = 0; f < faults.size(); ++f) {
-    const FaultSpec& fault = faults[f];
-    std::vector<int>& cone = cones[f];
-    switch (fault.kind) {
-      case FaultSpec::Kind::kNone:
-        break;
-      case FaultSpec::Kind::kStuckGate:
-      case FaultSpec::Kind::kStuckPin: {
-        cone.push_back(fault.gate);
-        const BitVec& r = reach[static_cast<std::size_t>(fault.gate)];
-        for (std::size_t g = r.find_first(); g != BitVec::npos;
-             g = r.find_first(g + 1))
-          if (static_cast<int>(g) != fault.gate)
-            cone.push_back(static_cast<int>(g));
-        std::sort(cone.begin(), cone.end());
-        break;
-      }
-      case FaultSpec::Kind::kBridge: {
-        BitVec u = reach[static_cast<std::size_t>(fault.gate)];
-        u |= reach[static_cast<std::size_t>(fault.gate2_or_pin)];
-        u.reset(static_cast<std::size_t>(fault.gate));
-        u.reset(static_cast<std::size_t>(fault.gate2_or_pin));
-        for (std::size_t g = u.find_first(); g != BitVec::npos;
-             g = u.find_first(g + 1))
-          cone.push_back(static_cast<int>(g));
-        break;
-      }
-    }
-  }
-  return cones;
-}
 
 std::size_t FaultSimResult::num_effective_tests() const {
   std::size_t n = 0;
@@ -126,21 +78,6 @@ void flush_sim_stats(const LogicSimStats& logic, const ScanSimStats& scan) {
   c_continued.add(scan.continued_faults);
   c_sweeps.add(scan.packed_sweeps);
   c_packed.add(scan.packed_lanes);
-}
-
-/// Representative gate of a fault for cone assignment (the site whose FFR
-/// the fault lives in). kNone faults have no site; use gate 0 arbitrarily.
-int fault_site(const FaultSpec& f) {
-  switch (f.kind) {
-    case FaultSpec::Kind::kNone:
-      return 0;
-    case FaultSpec::Kind::kStuckGate:
-    case FaultSpec::Kind::kStuckPin:
-      return f.gate;
-    case FaultSpec::Kind::kBridge:
-      return std::min(f.gate, f.gate2_or_pin);
-  }
-  return 0;
 }
 
 /// One batch of the engine's schedule: tests [first, first + count), one
@@ -259,10 +196,6 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
                             std::to_string(faults.size()) + " faults / " +
                                 std::to_string(patterns.size()) + " tests");
 
-  const std::vector<std::vector<int>> cones =
-      options.reachability
-          ? compute_fault_cones(circuit.comb, faults, *options.reachability)
-          : compute_fault_cones(circuit.comb, faults);
   const int threads = parallel::resolve_threads(options.threads);
   const std::vector<Batch> layout = batch_layout(patterns);
   // Scheduled batch count for the live-telemetry progress pair: the batch
@@ -272,24 +205,9 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
   // leave done < expected.
   c_batches_expected.add(layout.size());
 
-  // Cone-sorted fault schedule: group faults whose sites share a
-  // fanout-free cone so consecutive faults re-touch the same overlay
-  // working set. The schedule is a permutation of the simulation order
-  // only — per-fault results are position-independent, so this cannot
-  // change any detection.
-  const ConePartition part = fanout_free_cones(circuit.comb);
-  std::vector<int> fault_cone(faults.size(), 0);
-  for (std::size_t f = 0; f < faults.size(); ++f) {
-    const int site = fault_site(faults[f]);
-    if (site >= 0 && site < circuit.comb.num_gates())
-      fault_cone[f] = part.cone_id[static_cast<std::size_t>(site)];
-  }
+  // The live faults, in list order.
   std::vector<std::size_t> alive(faults.size());
   for (std::size_t f = 0; f < faults.size(); ++f) alive[f] = f;
-  std::stable_sort(alive.begin(), alive.end(),
-                   [&fault_cone](std::size_t a, std::size_t b) {
-                     return fault_cone[a] < fault_cone[b];
-                   });
 
   // One simulator per worker slot; slot 0 (the caller) doubles as the
   // good-trace simulator. The good trace itself is immutable and shared.
@@ -331,7 +249,7 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
     const auto simulate_range = [&](int slot, std::size_t lo, std::size_t hi) {
       std::vector<FaultJob> chunk(hi - lo);
       for (std::size_t i = lo; i < hi; ++i)
-        chunk[i - lo] = {&faults[alive[i]], &cones[alive[i]]};
+        chunk[i - lo] = {&faults[alive[i]]};
       sims[static_cast<std::size_t>(slot)]->run_faulty(batch, good, chunk,
                                                        &guard);
       for (std::size_t i = lo; i < hi; ++i) {
@@ -341,9 +259,8 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
               b.first + static_cast<std::size_t>(std::countr_zero(det)));
       }
     };
-    // Equal-count chunks of about 1/16 of a worker's share of the
-    // cone-sorted list: neighbouring faults share cones, and the stealing
-    // deques even out the uneven per-fault cost.
+    // Equal-count chunks of about 1/16 of a worker's share of the live
+    // list: the stealing deques even out the uneven per-fault cost.
     const int workers = alive.size() >= kMinParallelFaults ? threads : 1;
     parallel::parallel_for(
         alive.size(),
@@ -353,8 +270,10 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
 
     // Deterministic reduction: per-fault marks are disjoint and the
     // effectiveness/coverage aggregates are order-independent unions, so
-    // the result is bit-identical for any thread count, chunking and
-    // schedule permutation.
+    // the result is bit-identical for any thread count and chunking. A
+    // fault's detection word depends on the good trace alone, not on the
+    // faults it shares a chunk and its packed sweeps with, so reordering
+    // the list permutes detected_by and changes nothing else.
     still_alive.clear();
     still_alive.reserve(alive.size());
     for (std::size_t f : alive) {

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "atpg/test.h"
-#include "base/bitvec.h"
 #include "base/robust/budget.h"
 #include "netlist/netlist.h"
 #include "sim/logic_sim.h"
@@ -47,12 +46,6 @@ struct FaultSimOptions {
   /// detection word depends only on the shared immutable good trace, and
   /// detections are reduced on the caller in fault order.
   int threads = -1;
-  /// Optional precomputed forward_reachability(circuit.comb) matrix.
-  /// Callers that need it for more than one pass over the same netlist
-  /// (Table 6 simulates its stuck-at and bridging lists, then re-checks the
-  /// misses for redundancy) compute it once and pass it here; null means
-  /// compute it internally.
-  const std::vector<BitVec>* reachability = nullptr;
 };
 
 /// Word-parallel scan fault simulation with fault dropping: tests run 64
@@ -103,18 +96,5 @@ FaultSimResult simulate_faults_guarded(const ScanCircuit& circuit,
 /// Convert functional tests (on the completed table, whose state index is
 /// the state code) into scan patterns.
 std::vector<ScanPattern> to_scan_patterns(const TestSet& tests);
-
-/// Output cone of each fault (sorted gate ids the single-fault-propagation
-/// fast path re-evaluates), as a FaultJob carries it. Exposed for the
-/// kernel micro-benchmark, which drives ScanBatchSim directly.
-std::vector<std::vector<int>> compute_fault_cones(
-    const Netlist& nl, const std::vector<FaultSpec>& faults);
-
-/// Variant over a precomputed forward_reachability(nl) matrix, so callers
-/// that build cones for several fault sets over one netlist pay for
-/// reachability once.
-std::vector<std::vector<int>> compute_fault_cones(
-    const Netlist& nl, const std::vector<FaultSpec>& faults,
-    const std::vector<BitVec>& reach);
 
 }  // namespace fstg

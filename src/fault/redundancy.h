@@ -40,9 +40,8 @@ RedundancyResult classify_faults(const ScanCircuit& circuit,
 /// one produced by select_effective_tests), so the test-set pass is not
 /// repeated: the misses alone go through one more engine run, over the
 /// exhaustive length-one scan tests, and a miss is kMissedDetectable iff
-/// that run detects it. `options` is the engine's (threads, and a
-/// precomputed reachability matrix to reuse across fault sets); the run is
-/// unbudgeted, under its own guard site `redundancy.classify`. Requires
+/// that run detects it. `options` sets the engine's thread count; the run
+/// is unbudgeted, under its own guard site `redundancy.classify`. Requires
 /// sv + pi <= 22 whenever some fault is missed.
 RedundancyResult classify_faults_from(const ScanCircuit& circuit,
                                       const std::vector<FaultSpec>& faults,

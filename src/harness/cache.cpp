@@ -94,14 +94,6 @@ std::uint64_t faults_key(const std::string& blif_text,
   return k.digest();
 }
 
-std::uint64_t reach_key(const std::string& blif_text) {
-  store::KeyBuilder k;
-  k.add("reach");
-  k.add_u64(kReachSchema);
-  k.add(blif_text);
-  return k.digest();
-}
-
 bool load_synth(store::Store* s, std::uint64_t key, SynthesisResult* synth,
                 StateTable* table, double* synth_seconds) {
   if (!s) return false;
@@ -198,40 +190,6 @@ void save_faults(store::Store* s, std::uint64_t key,
   serialize_fault_specs(sa, w);
   serialize_fault_specs(br, w);
   s->put(key, kTypeFaults, kFaultsSchema, "faults", w.bytes());
-}
-
-bool load_reach(store::Store* s, std::uint64_t key, std::size_t num_gates,
-                std::vector<BitVec>* reach) {
-  if (!s) return false;
-  std::string payload;
-  if (!s->get(key, kTypeReach, kReachSchema, "reach", &payload)) {
-    count_stage("reach", false);
-    return false;
-  }
-  store::BlobReader r(payload);
-  std::vector<BitVec> rows;
-  if (!deserialize_bitvec_matrix(r, &rows) || !r.done() ||
-      rows.size() != num_gates) {
-    count_stage("reach", false);
-    return false;
-  }
-  for (const BitVec& row : rows) {
-    if (row.size() != num_gates) {
-      count_stage("reach", false);
-      return false;
-    }
-  }
-  count_stage("reach", true);
-  *reach = std::move(rows);
-  return true;
-}
-
-void save_reach(store::Store* s, std::uint64_t key,
-                const std::vector<BitVec>& reach) {
-  if (!s) return;
-  store::BlobWriter w;
-  serialize_bitvec_matrix(reach, w);
-  s->put(key, kTypeReach, kReachSchema, "reach", w.bytes());
 }
 
 bool checkpoint_done(store::Store* s, const std::string& campaign,

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "atpg/generator.h"
-#include "base/bitvec.h"
 #include "base/store/store.h"
 #include "fsm/state_table.h"
 #include "kiss/kiss2.h"
@@ -17,9 +16,12 @@ namespace fstg::harness {
 /// --- Pipeline artifact cache ---------------------------------------------
 ///
 /// Typed load/save wrappers over the content-addressed store
-/// (base/store/store.h) for the pipeline's hot derivations: synthesized
-/// netlists (+ the read-back state table), generation results (tests + UIO
-/// tables), enumerated fault lists, and forward-reachability matrices.
+/// (base/store/store.h) for the pipeline's three hot derivations:
+/// synthesized netlists (+ the read-back state table), generation results
+/// (tests + UIO tables) and enumerated fault lists. A store written by an
+/// earlier build may also hold `*.reach.blob` files (retired type 4, the
+/// forward-reachability matrix): nothing reads them, `fstg cache verify`
+/// checks them like any blob and `fstg cache gc` evicts them by age.
 ///
 /// Keys hash the *canonical text* of the derivation's input (write_kiss2
 /// for FSM stages, to_blif for netlist stages) plus every option that
@@ -38,7 +40,6 @@ namespace fstg::harness {
 inline constexpr std::uint32_t kTypeSynth = 1;
 inline constexpr std::uint32_t kTypeGen = 2;
 inline constexpr std::uint32_t kTypeFaults = 3;
-inline constexpr std::uint32_t kTypeReach = 4;
 
 /// Payload schema versions: bump when the serialized layout of the
 /// corresponding artifact changes; old blobs then read as misses
@@ -46,7 +47,6 @@ inline constexpr std::uint32_t kTypeReach = 4;
 inline constexpr std::uint32_t kSynthSchema = 1;
 inline constexpr std::uint32_t kGenSchema = 1;
 inline constexpr std::uint32_t kFaultsSchema = 1;
-inline constexpr std::uint32_t kReachSchema = 1;
 
 /// Key for the synthesis stage: canonical KISS2 text + synthesis options.
 std::uint64_t synth_key(const Kiss2Fsm& fsm, const SynthesisOptions& options);
@@ -61,9 +61,6 @@ std::uint64_t gen_key(const StateTable& table, const GeneratorOptions& options);
 /// sampling cap.
 std::uint64_t faults_key(const std::string& blif_text,
                          std::size_t max_bridging_faults);
-
-/// Key for the forward-reachability matrix of one netlist.
-std::uint64_t reach_key(const std::string& blif_text);
 
 /// Synthesis artifact: the result plus the read-back table and the
 /// measured synthesis time (reported by warm runs as the cost of the run
@@ -86,12 +83,6 @@ bool load_faults(store::Store* s, std::uint64_t key, int num_gates,
 void save_faults(store::Store* s, std::uint64_t key,
                  const std::vector<FaultSpec>& sa,
                  const std::vector<FaultSpec>& br, std::size_t br_enumerated);
-
-/// Forward-reachability matrix for one netlist.
-bool load_reach(store::Store* s, std::uint64_t key, std::size_t num_gates,
-                std::vector<BitVec>* reach);
-void save_reach(store::Store* s, std::uint64_t key,
-                const std::vector<BitVec>& reach);
 
 /// --- Campaign checkpoints ------------------------------------------------
 ///

@@ -12,7 +12,6 @@
 #include "harness/cache.h"
 #include "lint/fsm_lint.h"
 #include "netlist/export.h"
-#include "netlist/reach.h"
 
 namespace fstg {
 
@@ -196,24 +195,13 @@ GateLevelResult gate_level(const CircuitExperiment& exp, const TestSet& tests,
                          result.br_enumerated);
   }
 
-  // One reachability matrix serves every fault set over this netlist:
-  // stuck-at, bridging, and the redundancy re-checks.
-  std::vector<BitVec> reach;
-  const std::uint64_t rkey = cache ? harness::reach_key(blif) : 0;
-  if (!harness::load_reach(cache, rkey,
-                           static_cast<std::size_t>(circuit.comb.num_gates()),
-                           &reach)) {
-    reach = forward_reachability(circuit.comb);
-    harness::save_reach(cache, rkey, reach);
-  }
   // Optional static pre-flight: prove faults untestable without a single
   // simulated pattern.
   analysis::FaultAnalysis sa_static, br_static;
   if (options.static_prune) {
     obs::StageScope scope("analysis.static_prune", exp.fsm.name);
     static const obs::Counter c_pruned = obs::counter("analysis.pruned");
-    const analysis::StaticAnalyzer statics(circuit.comb,
-                                           analysis::AnalyzerOptions{}, &reach);
+    const analysis::StaticAnalyzer statics(circuit.comb);
     sa_static = statics.analyze(result.sa_faults);
     br_static = statics.analyze(result.br_faults);
     result.static_pruned = true;
@@ -233,10 +221,9 @@ GateLevelResult gate_level(const CircuitExperiment& exp, const TestSet& tests,
 
   FaultSimOptions sim_options;
   sim_options.threads = options.threads;
-  sim_options.reachability = &reach;
   robust::RunGuard guard(options.budget, "fault_sim.batch");
   // One simulation of the stuck-at list followed by the bridging list, so
-  // every batch's good trace and index serve both. It covers the faults the
+  // every batch's good trace serves both. It covers the faults the
   // static verdicts leave unproven (all of them without a pre-flight);
   // `origin` maps each back onto the two lists, where a pruned fault reads
   // as undetected.

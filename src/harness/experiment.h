@@ -86,8 +86,9 @@ struct GateLevelOptions {
   /// deterministically strided down to ~this many faults, keeping AND/OR
   /// pairs together; 0 = no cap. The full enumerated count is reported.
   std::size_t max_bridging_faults = 4096;
-  /// Artifact cache for fault lists and reachability matrices (same
-  /// resolution rule as ExperimentOptions::cache).
+  /// Artifact cache for the enumerated fault lists, the one artifact a
+  /// gate-level run writes (same resolution rule as
+  /// ExperimentOptions::cache).
   store::Store* cache = nullptr;
   /// Run the fault-independent static implication engine before any
   /// simulation and leave the faults it proves untestable out of the

@@ -6,31 +6,6 @@ namespace fstg {
 
 class Netlist;
 
-/// Partition of a combinational netlist into fanout-free regions (FFRs):
-/// maximal single-output subtrees. A gate is a *head* when its value is
-/// observable beyond one place — it feeds an output of the netlist, has
-/// fanout count != 1, or feeds a head through reconvergence; every other
-/// gate belongs to the cone of the unique head it funnels into.
-///
-/// Faults inside one cone share the head's transitive fanout almost
-/// entirely, so the fault-simulation engine sorts fault batches by cone:
-/// consecutive faults re-touch the same overlay working set (cache-warm).
-struct ConePartition {
-  /// head[g] = id of the FFR head gate g funnels into (head[h] == h).
-  std::vector<int> head;
-  /// cone_id[g] = dense index (0..num_cones-1) of g's cone, ordered by
-  /// ascending head id (deterministic for any netlist).
-  std::vector<int> cone_id;
-  /// cone_head[i] = head gate id of cone i (ascending).
-  std::vector<int> cone_head;
-
-  int num_cones() const { return static_cast<int>(cone_head.size()); }
-};
-
-/// Compute the fanout-free cone partition of `nl`. One reverse-topological
-/// sweep (netlist ids are topological): O(gates + edges).
-ConePartition fanout_free_cones(const Netlist& nl);
-
 /// Sentinel ids for output_dominators(): `kDominatorSink` marks a gate whose
 /// only post-dominator is the virtual sink behind all primary outputs (no
 /// single gate funnels every path); `kDominatorDead` marks a gate from which

@@ -174,34 +174,4 @@ bool deserialize_synthesis_result(store::BlobReader& r, SynthesisResult* out) {
   return true;
 }
 
-void serialize_bitvec_matrix(const std::vector<BitVec>& rows,
-                             store::BlobWriter& w) {
-  w.u64(rows.size());
-  for (const BitVec& row : rows) {
-    w.u64(row.size());
-    w.vec_u64(row.words());
-  }
-}
-
-bool deserialize_bitvec_matrix(store::BlobReader& r,
-                               std::vector<BitVec>* out) {
-  const std::uint64_t num_rows = r.u64();
-  if (!r.ok() || num_rows * 16 > r.remaining()) return false;
-  std::vector<BitVec> rows;
-  rows.reserve(num_rows);
-  for (std::uint64_t i = 0; i < num_rows; ++i) {
-    const std::uint64_t size = r.u64();
-    std::vector<std::uint64_t> words = r.vec_u64();
-    if (!r.ok()) return false;
-    if (words.size() != (size + 63) / 64) return false;
-    // Tail bits past the logical size must be zero (the BitVec invariant).
-    if ((size & 63) != 0 && (words.back() >> (size & 63)) != 0) return false;
-    BitVec row(size);
-    row.words() = std::move(words);
-    rows.push_back(std::move(row));
-  }
-  *out = std::move(rows);
-  return true;
-}
-
 }  // namespace fstg

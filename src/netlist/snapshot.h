@@ -1,8 +1,5 @@
 #pragma once
 
-#include <vector>
-
-#include "base/bitvec.h"
 #include "netlist/synth.h"
 
 namespace fstg::store {
@@ -16,13 +13,13 @@ namespace fstg {
 ///
 /// Binary snapshots of the gate-level derivation chain (base/store/serial.h
 /// payloads): the netlist itself, the scan wrapper, the state encoding, the
-/// minimized covers, the full SynthesisResult, and forward-reachability
-/// matrices. Every deserializer re-validates the structural invariants the
-/// builders enforce (topological fanin order, fanin arity per gate type,
-/// encoding bijection, output words inside the declared widths) and returns
-/// false — never throws — on any violation, so the cache layer can treat a
-/// semantically damaged payload exactly like a checksum failure: a miss
-/// that costs a recompute, never a wrong circuit.
+/// minimized covers and the full SynthesisResult. Every deserializer
+/// re-validates the structural invariants the builders enforce (topological
+/// fanin order, fanin arity per gate type, encoding bijection, output words
+/// inside the declared widths) and returns false — never throws — on any
+/// violation, so the cache layer can treat a semantically damaged payload
+/// exactly like a checksum failure: a miss that costs a recompute, never a
+/// wrong circuit.
 
 void serialize_netlist(const Netlist& nl, store::BlobWriter& w);
 bool deserialize_netlist(store::BlobReader& r, Netlist* out);
@@ -39,11 +36,5 @@ bool deserialize_cover(store::BlobReader& r, Cover* out);
 void serialize_synthesis_result(const SynthesisResult& result,
                                 store::BlobWriter& w);
 bool deserialize_synthesis_result(store::BlobReader& r, SynthesisResult* out);
-
-/// A vector of equal-length bit rows (forward-reachability matrices and
-/// other structural masks).
-void serialize_bitvec_matrix(const std::vector<BitVec>& rows,
-                             store::BlobWriter& w);
-bool deserialize_bitvec_matrix(store::BlobReader& r, std::vector<BitVec>* out);
 
 }  // namespace fstg

@@ -168,30 +168,6 @@ void ScanBatchSim::run_faulty(std::span<const ScanPattern> batch,
 
 void ScanBatchSim::start(Cursor& k, FaultJob& job, const GoodTrace& good) {
   k.job = &job;
-  const FaultSpec& fault = *job.fault;
-  const std::vector<int>& cone = *job.cone;
-
-  // Only outputs inside the fault's cone — or that are fault sites
-  // themselves (compute_fault_cones removes a bridge's two lines from its
-  // cone, but the overlay stamps them directly) — can ever be stamped; the
-  // per-cycle PO/next-state scans probe just those.
-  k.po_cone.clear();
-  k.sv_cone.clear();
-  const int num_po = circuit_->num_po;
-  const std::vector<int>& outs = circuit_->comb.outputs();
-  const int site = fault.gate;
-  const int site2 =
-      fault.kind == FaultSpec::Kind::kBridge ? fault.gate2_or_pin : -1;
-  for (int o = 0; o < num_po + circuit_->num_sv; ++o) {
-    const int out = outs[static_cast<std::size_t>(o)];
-    if (out != site && out != site2 &&
-        !std::binary_search(cone.begin(), cone.end(), out))
-      continue;
-    if (o < num_po)
-      k.po_cone.push_back(o);
-    else
-      k.sv_cone.push_back(o - num_po);
-  }
   k.stage = good.sliced ? Cursor::Stage::kFirstPass : Cursor::Stage::kBatch;
   begin_pass(k, low_mask(good.num_lanes), -1, 0);
 }
@@ -294,15 +270,16 @@ bool ScanBatchSim::continue_at(Cursor& k, int segment, bool dirty,
 
 Word ScanBatchSim::take_overlay(Cursor& k, const Word* base,
                                 const Word* base_x, Word m) {
-  for (const int o : k.po_cone)
+  // An output the overlay did not stamp reads 0 in both diffs.
+  const int num_po = circuit_->num_po;
+  for (int o = 0; o < num_po; ++o)
     k.detected |= sim_.overlay_output_det_diff(o, base, base_x) & m;
   // Lanes whose faulty next state differs from the good next state in ANY
   // way (value or X-ness) become dirty and take their faulty next state.
   // Tracking only detectable differences here would lose defined->X state
   // transitions and mis-simulate later cycles.
-  const int num_po = circuit_->num_po;
   Word ns_diff = 0;
-  for (const int v : k.sv_cone)
+  for (int v = 0; v < circuit_->num_sv; ++v)
     ns_diff |= sim_.overlay_output_any_diff(num_po + v, base, base_x);
   ns_diff &= m;
   if (ns_diff == 0) return 0;

@@ -59,12 +59,10 @@ struct ScanSimStats {
   }
 };
 
-/// One fault of a run_faulty chunk: the fault, its output cone (sorted gate
-/// ids from compute_fault_cones; never null) and, on return, its detection
+/// One fault of a run_faulty chunk: the fault and, on return, its detection
 /// word.
 struct FaultJob {
   const FaultSpec* fault = nullptr;
-  const std::vector<int>* cone = nullptr;
   Word detected = 0;
 };
 
@@ -155,11 +153,11 @@ class ScanBatchSim {
   /// (earlier tests) are tracked.
   ///
   /// Cycles in which a fault's tracked lanes are all in the fault-free
-  /// state are evaluated event-driven against the good trace through the
-  /// fault's cone: no copying of good values, only gates whose fanins
-  /// changed are re-evaluated, and a cycle whose fault site deviates in no
-  /// tracked lane (LogicSim::fault_excited) is skipped whole. A cycle in
-  /// which some tracked lane has diverged takes its clean lanes through the
+  /// state are evaluated event-driven against the good trace: no copying
+  /// of good values, only gates whose fanins changed are re-evaluated, and
+  /// a cycle whose fault site deviates in no tracked lane
+  /// (LogicSim::fault_excited) is skipped whole. A cycle in which some
+  /// tracked lane has diverged takes its clean lanes through the
   /// same overlay, where the site deviates in one of them, and queues its
   /// diverged lanes as pack entries (fault, lane, cycle, faulty state).
   /// Each fault is a cursor over its evaluation passes that parks at every
@@ -203,9 +201,6 @@ class ScanBatchSim {
     };
     FaultJob* job = nullptr;
     Stage stage = Stage::kBatch;
-    /// The primary outputs and state variables inside the fault's cone.
-    std::vector<int> po_cone;
-    std::vector<int> sv_cone;
     // The pass.
     Word lanes = 0;
     std::size_t cycle = 0;

@@ -17,7 +17,6 @@
 #include "fault/bridging.h"
 #include "fault/fault.h"
 #include "harness/experiment.h"
-#include "netlist/reach.h"
 
 namespace fstg {
 namespace {
@@ -109,6 +108,23 @@ TEST(FaultSimParallel, BitIdenticalAcrossThreadCounts) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       expect_same_result(r, baseline);
     }
+
+    // The list order is the simulation order: it decides which faults
+    // share a worker chunk and its packed sweeps. A fault's result must not
+    // depend on it, so the reversed list reverses detected_by and changes
+    // nothing else.
+    const std::vector<FaultSpec> reversed(faults.rbegin(), faults.rend());
+    for (int threads : {1, 3, 8}) {
+      FaultSimOptions options;
+      options.threads = threads;
+      const FaultSimResult r =
+          simulate_faults(circuit, exp.gen.tests, reversed, options);
+      SCOPED_TRACE("reversed, threads=" + std::to_string(threads));
+      EXPECT_EQ(std::vector<int>(r.detected_by.rbegin(), r.detected_by.rend()),
+                baseline.detected_by);
+      EXPECT_EQ(r.test_effective, baseline.test_effective);
+      EXPECT_EQ(r.detected_faults, baseline.detected_faults);
+    }
   }
 }
 
@@ -171,19 +187,6 @@ TEST(FaultSimParallel, EventDrivenMatchesReference) {
     EXPECT_GT(counter_delta(before, "scan.cycles_full"), 0u);
     EXPECT_GT(counter_delta(before, "scan.packed_sweeps"), 0u);
   }
-}
-
-TEST(FaultSimParallel, SharedReachabilityMatchesInternal) {
-  CircuitExperiment exp = run_circuit("dk17");
-  const ScanCircuit& circuit = exp.synth.circuit;
-  const std::vector<FaultSpec> faults = all_faults(circuit);
-
-  const std::vector<BitVec> reach = forward_reachability(circuit.comb);
-  FaultSimOptions shared;
-  shared.threads = 2;
-  shared.reachability = &reach;
-  expect_same_result(simulate_faults(circuit, exp.gen.tests, faults, shared),
-                     simulate_faults(circuit, exp.gen.tests, faults, {}));
 }
 
 TEST(FaultSimParallel, BudgetExhaustedParallelRunIsWellFormedPartial) {

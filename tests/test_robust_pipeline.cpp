@@ -348,6 +348,7 @@ TEST_F(RobustPipelineTest, PipelineRunDiscoversAllGuardSites) {
   std::vector<FaultSpec> faults = enumerate_stuck_at(exp.synth.circuit.comb);
   podem(exp.synth.circuit, faults.front());
   distinguishing_sequence(exp.table, 0, 1);
+  forward_reachability(exp.synth.circuit.comb);
 
   const std::vector<std::string>& seen = guard_sites_seen();
   for (const char* site :

@@ -106,10 +106,9 @@ TEST(ScanSim, OverlaySkipsUntrackedLanes) {
       {0, std::vector<std::uint32_t>(8, 0), {}},
       {0, std::vector<std::uint32_t>(8, 1), {}}};
   const FaultSpec fault = FaultSpec::stuck_gate(po, false);
-  const std::vector<int> cone = compute_fault_cones(nl, {fault})[0];
   ScanBatchSim sim(circuit);
   const GoodTrace good = sim.run_good(batch);
-  FaultJob job{&fault, &cone};
+  FaultJob job{&fault};
   sim.run_faulty(batch, good, {&job, 1});
   EXPECT_EQ(job.detected, Word{0b10});
   // After cycle 0 only lane 0 is tracked, and it excites nothing: one

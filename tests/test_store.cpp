@@ -534,22 +534,6 @@ TEST(StoreCodec, FaultSpecsRoundTrip) {
   EXPECT_FALSE(deserialize_fault_specs(r, /*num_gates=*/1, &back));
 }
 
-TEST(StoreCodec, BitVecMatrixRoundTrip) {
-  std::vector<BitVec> rows(5, BitVec(67));
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    for (std::size_t j = i; j < rows[i].size(); j += i + 1) rows[i].set(j);
-
-  store::BlobWriter w;
-  serialize_bitvec_matrix(rows, w);
-  store::BlobReader r(w.bytes());
-  std::vector<BitVec> back;
-  ASSERT_TRUE(deserialize_bitvec_matrix(r, &back));
-  EXPECT_TRUE(r.done());
-  ASSERT_EQ(back.size(), rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    EXPECT_TRUE(back[i] == rows[i]) << "row " << i;
-}
-
 TEST(StoreCodec, TruncatedOrPaddedPayloadFailsCleanly) {
   const std::string bytes = table_bytes(small_exp().table);
   // Every proper prefix must fail (never throw, never half-fill): sample a
@@ -673,8 +657,8 @@ TEST(HarnessCache, DegradedGenerationResultsAreNeverCached) {
   EXPECT_FALSE(harness::load_gen(&s, key, &out));
 }
 
-TEST(HarnessCache, FaultAndReachArtifactsRoundTripThroughStore) {
-  Store s(fresh_dir("faults_reach"));
+TEST(HarnessCache, FaultArtifactsRoundTripThroughStore) {
+  Store s(fresh_dir("faults"));
   ASSERT_TRUE(s.usable());
   GateLevelOptions options;
   options.classify_redundancy = false;
@@ -692,19 +676,18 @@ TEST(HarnessCache, FaultAndReachArtifactsRoundTripThroughStore) {
   // The same blob against a tiny netlist is damage, not a wrong answer.
   EXPECT_FALSE(harness::load_faults(&s, 11, 1, &sa, &br, &enumerated));
 
-  std::vector<BitVec> reach(static_cast<std::size_t>(num_gates),
-                            BitVec(static_cast<std::size_t>(num_gates)));
-  for (std::size_t i = 0; i < reach.size(); ++i) reach[i].set(i);
-  harness::save_reach(&s, 12, reach);
-  std::vector<BitVec> back;
-  ASSERT_TRUE(harness::load_reach(
-      &s, 12, static_cast<std::size_t>(num_gates), &back));
-  ASSERT_EQ(back.size(), reach.size());
-  for (std::size_t i = 0; i < reach.size(); ++i)
-    EXPECT_TRUE(back[i] == reach[i]);
-  // Size skew (a different netlist's matrix) is a miss.
-  EXPECT_FALSE(harness::load_reach(
-      &s, 12, static_cast<std::size_t>(num_gates) + 1, &back));
+  // A cached gate-level run writes its fault lists and nothing else.
+  Store fresh(fresh_dir("faults_only"));
+  ASSERT_TRUE(fresh.usable());
+  options.cache = &fresh;
+  run_gate_level(small_exp(), options);
+  std::vector<std::string> blobs;
+  for (const std::string& sub : store::list_dir(fresh.dir() + "/objects"))
+    for (const std::string& name :
+         store::list_dir(fresh.dir() + "/objects/" + sub))
+      blobs.push_back(name);
+  ASSERT_EQ(blobs.size(), 1u);
+  EXPECT_NE(blobs[0].find(".faults.blob"), std::string::npos) << blobs[0];
 }
 
 TEST(HarnessCache, CheckpointMarkAndDone) {

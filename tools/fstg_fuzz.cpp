@@ -44,12 +44,14 @@
 //   store: for any corruption of an artifact-store cache directory
 //     (payload bit-flips, truncation, smashed magic/header bytes, forged
 //     container versions, deleted blobs, foreign garbage, orphaned write
-//     temporaries), a warm pipeline run produces byte-identical results to
-//     the cold run, never throws, counts the damage under store.corrupt.*
-//     or store.miss, and self-repairs the store (a post-run verify is
-//     clean). Scenarios are one op per line (`<tag> <op> [arg]`); the
-//     checked-in corpus under tests/store_corpus replays as a regression
-//     gate, and failing random iterations print their ops in corpus form.
+//     temporaries), a warm pipeline run (the gate-level fault simulation,
+//     which reads the `faults` blob, included) produces byte-identical
+//     results to the cold run, never throws, counts the damage under
+//     store.corrupt.* or store.miss, and self-repairs the store (a
+//     post-run verify is clean). Scenarios are one op per line
+//     (`<tag> <op> [arg]`); the checked-in corpus under tests/store_corpus
+//     replays as a regression gate, and failing random iterations print
+//     their ops in corpus form.
 //
 // Everything is seeded (xoshiro256**), so a failing iteration is
 // reproducible from the printed seed.
@@ -79,6 +81,7 @@
 #include "base/store/serial.h"
 #include "base/store/store.h"
 #include "difftest/workload.h"
+#include "fault/fault_io.h"
 #include "fault/fault_sim.h"
 #include "fsm/state_table.h"
 #include "harness/experiment.h"
@@ -477,9 +480,18 @@ int run_analysis(std::uint64_t iters, std::uint64_t seed) {
 
 /// --- store mode -----------------------------------------------------------
 
-/// Canonical bytes of everything a pipeline run derives: any corruption
+/// Run the pipeline on `fsm` over the store `s`, then its gate-level fault
+/// simulation (without redundancy classification) over the same store, and
+/// return the canonical bytes of everything they derive: any corruption
 /// that changed a result changes these bytes.
-std::string artifact_bytes(const CircuitExperiment& exp) {
+std::string pipeline_bytes(const Kiss2Fsm& fsm, store::Store* s) {
+  ExperimentOptions options;
+  options.cache = s;
+  const CircuitExperiment exp = run_fsm(fsm, options);
+  GateLevelOptions gate_options;
+  gate_options.cache = s;
+  gate_options.classify_redundancy = false;
+  const GateLevelResult gate = run_gate_level(exp, gate_options);
   store::BlobWriter w;
   serialize_state_table(exp.table, w);
   serialize_synthesis_result(exp.synth, w);
@@ -488,6 +500,12 @@ std::string artifact_bytes(const CircuitExperiment& exp) {
   w.vec_i32(std::vector<std::int32_t>(exp.gen.tested_by.begin(),
                                       exp.gen.tested_by.end()));
   w.u64(exp.gen.transitions_in_length_one);
+  serialize_fault_specs(gate.sa_faults, w);
+  serialize_fault_specs(gate.br_faults, w);
+  w.u64(gate.br_enumerated);
+  for (const CompactionResult* c : {&gate.sa, &gate.br})
+    w.vec_i32(std::vector<std::int32_t>(c->sim.detected_by.begin(),
+                                        c->sim.detected_by.end()));
   return w.take();
 }
 
@@ -541,7 +559,7 @@ bool apply_store_op(const std::string& dir, const std::string& line,
     return true;
   }
 
-  if (tag != "synth" && tag != "gen" && tag != "faults" && tag != "reach") {
+  if (tag != "synth" && tag != "gen" && tag != "faults") {
     *error = "unknown stage tag: " + tag;
     return false;
   }
@@ -606,9 +624,7 @@ bool store_fuzz_case(const std::string& dir, const Kiss2Fsm& fsm,
                      const std::vector<std::string>& ops, const char* label) {
   {
     store::Store s(dir);
-    ExperimentOptions options;
-    options.cache = &s;
-    if (artifact_bytes(run_fsm(fsm, options)) != baseline) {
+    if (pipeline_bytes(fsm, &s) != baseline) {
       std::fprintf(stderr, "FUZZ FAILURE %s: warm run diverged from the cold "
                            "baseline before any corruption\n", label);
       return false;
@@ -628,18 +644,16 @@ bool store_fuzz_case(const std::string& dir, const Kiss2Fsm& fsm,
 
   const std::uint64_t damaged0 = damage_counters();
   store::Store s(dir);
-  ExperimentOptions options;
-  options.cache = &s;
-  CircuitExperiment exp;
+  std::string bytes;
   try {
-    exp = run_fsm(fsm, options);
+    bytes = pipeline_bytes(fsm, &s);
   } catch (const std::exception& e) {
     std::fprintf(stderr,
                  "FUZZ FAILURE %s: cache corruption escaped the pipeline as "
                  "an exception: %s\n", label, e.what());
     return false;
   }
-  if (artifact_bytes(exp) != baseline) {
+  if (bytes != baseline) {
     std::fprintf(stderr,
                  "FUZZ FAILURE %s: cache corruption CHANGED pipeline "
                  "results\n", label);
@@ -663,7 +677,8 @@ bool store_fuzz_case(const std::string& dir, const Kiss2Fsm& fsm,
 }
 
 std::string random_store_op(Rng& rng) {
-  const std::string tag = rng.below(2) ? "synth" : "gen";
+  static const char* const kTags[] = {"synth", "gen", "faults"};
+  const std::string tag = kTags[rng.below(3)];
   switch (rng.below(8)) {
     case 0: return tag + " flip " + std::to_string(rng.below(1 << 20));
     case 1: return tag + " truncate " + std::to_string(rng.below(1 << 20));
@@ -691,9 +706,7 @@ int run_store(std::uint64_t iters, std::uint64_t seed,
                    dir.c_str());
       return 1;
     }
-    ExperimentOptions options;
-    options.cache = &s;
-    baseline = artifact_bytes(run_fsm(fsm, options));
+    baseline = pipeline_bytes(fsm, &s);
   }
 
   std::size_t cases = 0;
